@@ -20,9 +20,14 @@ computed from the antiderivative of K0 with the log part split off
 analytically.  The correction obeys the exact scaling value(kappa, h) =
 value(1, kappa*h).
 
-Eigensolves go dense (numpy.linalg.eigh) up to 1500 nodes and through ARPACK
-(scipy.sparse.linalg.eigsh, largest algebraic) above, with a deterministic
-start vector and a residual check ||Mv - eta v|| <= 1e-10 ||M|| either way.
+On a straight line sampled at equally spaced nodes with equal weights every
+chord is |s_i - s_j|, so M is a Toeplitz matrix: assembly evaluates K0 on
+one row (n values) instead of n^2.
+
+Eigensolves go dense (scipy.linalg.eigh restricted to the wanted pairs) up
+to 1500 nodes and through ARPACK (scipy.sparse.linalg.eigsh, largest
+algebraic) above, with a deterministic start vector and a residual check
+||Mv - eta v|| <= 1e-10 ||M|| either way.
 """
 
 import math
@@ -30,6 +35,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.integrate
+import scipy.linalg
 import scipy.sparse.linalg
 
 from .specfun import EULER_GAMMA, bessel_k0
@@ -176,29 +182,50 @@ def pairwise_distances(curve, nodes):
     return np.sqrt(np.sum(diff * diff, axis=-1))
 
 
+def _is_toeplitz(curve, grid):
+    """True when M_ij depends on |i - j| alone: the curve has no bending,
+    the weights are equal and the nodes are equally spaced (up to the
+    rounding of their own computation)."""
+    base, beta = ((curve.base, curve.beta) if isinstance(curve, geometry.ScaledCurve)
+                  else (curve, 1.0))
+    straight = beta == 0.0 or (not base.vertices
+                               and all(seg.k == 0.0 for seg in base.segments))
+    w = grid.weights
+    return (straight and bool(np.all(w == w[0]))
+            and float(np.ptp(np.diff(grid.nodes))) <= 16.0 * np.finfo(float).eps * grid.L)
+
+
 def assemble(curve, kappa, grid, distances=None):
     """Symmetrized Nystrom matrix of the kernel at spectral parameter kappa.
 
     kappa > alpha/2 is the intended regime but is not enforced here.  Passing
     a precomputed distance matrix (from pairwise_distances) skips the
     geometry work, which pays off inside root-finding loops where only kappa
-    changes.
+    changes.  Without one, a straight line on an equally spaced grid is
+    assembled as a Toeplitz matrix from its first row.
     """
     if kappa <= 0 or not math.isfinite(kappa):
         raise ValueError("kappa must be positive and finite")
-    if distances is None:
-        distances = pairwise_distances(curve, grid.nodes)
-    if distances.shape != (grid.n, grid.n):
-        raise ValueError("distance matrix does not match the grid")
-
-    rho = distances.copy()
-    np.fill_diagonal(rho, 1.0)
-    mat = bessel_k0(kappa * rho) / (2.0 * math.pi)
-    sw = np.sqrt(grid.weights)
-    mat *= sw[:, None]
-    mat *= sw[None, :]
-
     w = grid.weights
+    if distances is None and _is_toeplitz(curve, grid):
+        rho = np.abs(grid.nodes - grid.nodes[0])
+        rho[0] = 1.0
+        mat = scipy.linalg.toeplitz(bessel_k0(kappa * rho) * (w[0] / (2.0 * math.pi)))
+    else:
+        if distances is None:
+            distances = pairwise_distances(curve, grid.nodes)
+        if distances.shape != (grid.n, grid.n):
+            raise ValueError("distance matrix does not match the grid")
+        # scaled in place: one n x n temporary fewer at K0's peak
+        rho = kappa * distances
+        np.fill_diagonal(rho, kappa)
+        mat = bessel_k0(rho)
+        del rho
+        mat /= 2.0 * math.pi
+        sw = np.sqrt(w)
+        mat *= sw[:, None]
+        mat *= sw[None, :]
+
     if np.allclose(w, w[0]):
         diag = w[0] * diag_correction(kappa, float(w[0]))
         np.fill_diagonal(mat, diag)
@@ -213,9 +240,10 @@ def assemble(curve, kappa, grid, distances=None):
 def top_eigenpairs(mat, m=1, v0=None):
     """Largest m eigenvalues (descending) and orthonormal eigenvectors.
 
-    Dense eigh up to DENSE_CUTOFF nodes, ARPACK largest-algebraic beyond,
-    always with a deterministic start vector; inside root-finding loops the
-    previous eigenvector makes a good v0 and cuts the iteration count.
+    Dense eigh of the top m pairs only up to DENSE_CUTOFF nodes, ARPACK
+    largest-algebraic beyond, always with a deterministic start vector;
+    inside root-finding loops the previous eigenvector makes a good v0 and
+    cuts the iteration count.
     Every returned pair must pass ||Mv - eta v|| <= 1e-10 ||M||; a miss
     raises EigensolverError.
     """
@@ -228,9 +256,9 @@ def top_eigenpairs(mat, m=1, v0=None):
         raise ValueError(f"need 1 <= m <= {n}, got {m}")
 
     if n <= DENSE_CUTOFF or m >= n - 1:
-        vals, vecs = np.linalg.eigh(matrix)
-        vals = vals[::-1][:m]
-        vecs = vecs[:, ::-1][:, :m]
+        vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[n - m, n - 1])
+        vals = vals[::-1]
+        vecs = vecs[:, ::-1]
     else:
         if v0 is None or v0.shape != (n,):
             v0 = np.full(n, 1.0 / math.sqrt(n))

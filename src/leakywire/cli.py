@@ -214,7 +214,7 @@ def build_parser():
         sp.add_argument("--alpha", type=float, default=None,
                         help="interaction strength (default 1)")
         sp.add_argument("--tol", type=float, default=None,
-                        help="bisection tolerance on kappa")
+                        help="root-finding tolerance on kappa")
 
     sp = sub.add_parser("validate", help="check a curve file")
     add_curve(sp)
@@ -233,7 +233,8 @@ def build_parser():
                     help="grid points (omit or <= 0 for automatic sizing)")
     sp.add_argument("--L", type=float, default=None,
                     help="grid half-length (omit or <= 0 for automatic sizing)")
-    sp.add_argument("--tol", type=float, default=None)
+    sp.add_argument("--tol", type=float, default=None,
+                    help="root-finding tolerance on kappa")
     sp.add_argument("--maxk", type=int, default=1,
                     help="number of levels to report")
     sp.add_argument("--json", help="also write the result to this file")
@@ -291,7 +292,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (geometry.CurveFormatError, ConfigError, FileNotFoundError) as exc:
+    # CurveFormatError and ConfigError are ValueErrors too; a plain one comes
+    # from numeric input out of range, such as a grid with n < 2
+    except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except (NumericalError, EigensolverError) as exc:

@@ -145,7 +145,10 @@ def config_from_json(text, base_dir="."):
 def max_workers(config=None, njobs=1):
     """Thread count for sweep points: config, env cap, then a small default."""
     env = os.environ.get(_ENV_WORKERS)
-    cap = int(env) if env else 0
+    try:
+        cap = int(env) if env else 0
+    except ValueError:
+        raise ConfigError(f"{_ENV_WORKERS} must be an integer, got {env!r}") from None
     want = config.workers if config and config.workers > 0 else min(2, njobs)
     if cap > 0:
         want = min(want, cap)
@@ -187,10 +190,11 @@ def presolve_delta(curve_scaled, alpha, config):
     """Coarse threshold-anchored solve to estimate the decay rate.
 
     Returns sqrt(kappa*^2 - kappa_thr^2) on a cheap grid, or None when the
-    anchored margin is nonpositive or the gap is within bisection slop of
-    zero.  Both root solves run at tolerance 1e-5 alpha on kappa, so gaps
-    below a few alpha^2 * 1e-5 cannot be told apart from an unbound curve
-    here; resolving such states needs an explicit grid and tolerance.
+    anchored margin is nonpositive or the gap is within the root-finding
+    tolerance of zero.  Both root solves run at tolerance 1e-5 alpha on
+    kappa, so gaps below a few alpha^2 * 1e-5 cannot be told apart from an
+    unbound curve here; resolving such states needs an explicit grid and
+    tolerance.
     """
     lo, hi = curve_scaled.base.support
     span = hi - lo

@@ -6,8 +6,9 @@ kernel operator at spectral parameter kappa has an eigenvalue 1/alpha.  Each
 eta_j(kappa) is strictly decreasing in kappa (the kappa-derivative of the
 kernel matrix is negative definite: it is built from the function
 |z| K1(kappa |z|), whose 2-d Fourier transform is positive), so every level
-is found by bisection on g_j(kappa) = alpha * eta_j(kappa) - 1 over
-(alpha/2, kappa_hi].
+is the single root of g_j(kappa) = alpha * eta_j(kappa) - 1 over
+(alpha/2, kappa_hi], found by Brent's method (scipy.optimize.brentq) once a
+sign change is bracketed.
 
 No bound state is an outcome, not an error: when g_1 is already negative just
 above threshold the grid resolves nothing below the essential spectrum and
@@ -15,16 +16,19 @@ solve_ground returns a NoBoundState value.  The straight line always takes
 that path.
 
 Distances between grid nodes do not depend on kappa, so a solve precomputes
-them once and reassembles only the Bessel factor per bisection step.
+them once (a straight line needs none, see bs_core.assemble) and reassembles
+only the Bessel factor per root-finding step.  Each (kappa, level) pair is
+assembled and solved at most once per solve.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.optimize
 
 from . import geometry
-from .bs_core import Grid, assemble, pairwise_distances, top_eigenpairs
+from .bs_core import Grid, _is_toeplitz, assemble, pairwise_distances, top_eigenpairs
 
 __all__ = [
     "NoBoundState",
@@ -93,8 +97,21 @@ class SpectralResult:
         }
 
 
+def _find_root(g, lo, hi, tol):
+    """Root of g on a sign-changing bracket, g(lo) > 0 > g(hi), by Brent's
+    method; the returned point was evaluated and lies within tol/2 of the
+    root."""
+    kappa, info = scipy.optimize.brentq(g, lo, hi, xtol=0.5 * tol,
+                                        full_output=True, disp=False)
+    if not info.converged:
+        raise NumericalError(
+            f"root finding on [{lo:.10g}, {hi:.10g}] did not converge: {info.flag}")
+    return kappa
+
+
 class _Solver:
-    """Shared state for root finding: cached distances, one assemble per kappa."""
+    """Shared state for root finding: cached distances, and one assembly
+    and eigensolve per (kappa, level), remembered for the rest of the solve."""
 
     def __init__(self, curve, alpha, grid, kappa_floor=None):
         if alpha <= 0 or not math.isfinite(alpha):
@@ -107,14 +124,19 @@ class _Solver:
         if not 0.0 < kappa_floor < 2.0 * self.alpha:
             raise ValueError("kappa_floor must lie in (0, 2 alpha)")
         self.floor = float(kappa_floor)
-        self.distances = pairwise_distances(curve, grid.nodes)
+        self.distances = (None if _is_toeplitz(curve, grid)
+                          else pairwise_distances(curve, grid.nodes))
         self._warm = {}
+        self._pairs = {}
 
     def eigen(self, kappa, j):
-        mat = assemble(self.curve, kappa, self.grid, distances=self.distances)
-        vals, vecs = top_eigenpairs(mat, j, v0=self._warm.get(j))
-        self._warm[j] = vecs[:, 0]
-        return float(vals[j - 1]), vecs[:, j - 1]
+        key = (float(kappa), j)
+        if key not in self._pairs:
+            mat = assemble(self.curve, kappa, self.grid, distances=self.distances)
+            vals, vecs = top_eigenpairs(mat, j, v0=self._warm.get(j))
+            self._warm[j] = vecs[:, 0]
+            self._pairs[key] = float(vals[j - 1]), vecs[:, j - 1]
+        return self._pairs[key]
 
     def g(self, kappa, j):
         val, _ = self.eigen(kappa, j)
@@ -138,16 +160,10 @@ class _Solver:
                 raise NumericalError(
                     f"no sign change of level {j} up to kappa = {half + offset:.3g}")
 
-    def bisect(self, j, tol):
-        lo = self.kappa_lo()
-        hi = self.bracket_hi(j)
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if self.g(mid, j) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
+    def root(self, j, tol):
+        """Level j's kappa; g_j(kappa_lo()) > 0 must already hold."""
+        return _find_root(lambda k: self.g(k, j), self.kappa_lo(),
+                          self.bracket_hi(j), tol)
 
     def result(self, kappa, j):
         val, vec = self.eigen(kappa, j)
@@ -182,8 +198,8 @@ def eta(curve, kappa, grid, j=1):
 def solve_ground(curve, alpha, grid, tol=None, kappa_floor=None):
     """Ground state below the essential spectrum, or NoBoundState.
 
-    Bisection on g(kappa) = alpha * eta_1(kappa) - 1 starting just above
-    the search floor; tol bounds the final kappa bracket width (default
+    Root of g(kappa) = alpha * eta_1(kappa) - 1 above the search floor;
+    the returned kappa is within tol/2 of the grid's root (tol defaults to
     1e-8 alpha).
 
     kappa_floor defaults to the nominal threshold alpha/2.  On a finite grid
@@ -198,7 +214,7 @@ def solve_ground(curve, alpha, grid, tol=None, kappa_floor=None):
     margin = solver.g(solver.kappa_lo(), 1)
     if margin <= 0.0:
         return NoBoundState(alpha=solver.alpha, level=1, margin=margin, grid=grid)
-    kappa = solver.bisect(1, tol)
+    kappa = solver.root(1, tol)
     return solver.result(kappa, 1)
 
 
@@ -222,7 +238,7 @@ def solve_all(curve, alpha, grid, maxk=8, tol=None, cluster_tol=None,
     for j in range(1, int(maxk) + 1):
         if solver.g(solver.kappa_lo(), j) <= 0.0:
             break
-        kappa = solver.bisect(j, tol)
+        kappa = solver.root(j, tol)
         results.append(solver.result(kappa, j))
 
     flagged = list(results)
@@ -245,7 +261,8 @@ def solve_threshold(alpha, grid, tol=None):
     On a truncated, discretized line the condition alpha * eta_1 = 1 is met
     slightly off alpha/2; solving it on the same grid as a bent-curve run
     gives the reference that cancels the leading truncation and quadrature
-    bias when gaps are formed as kappa*^2 - kappa_thr^2.
+    bias when gaps are formed as kappa*^2 - kappa_thr^2.  The returned
+    kappa is within tol/2 of that root.
     """
     straight = geometry.ScaledCurve(geometry.CurveSpec(), 0.0)
     solver = _Solver(straight, alpha, grid)
@@ -263,10 +280,4 @@ def solve_threshold(alpha, grid, tol=None):
         step *= 2.0
         if hi > 2.0 * alpha:
             raise NumericalError("threshold bracketing failed from above")
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if solver.g(mid, 1) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return _find_root(lambda k: solver.g(k, 1), lo, hi, tol)

@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from leakywire import bs_core
 from leakywire import geometry as geo
 from leakywire.bs_core import (
     DENSE_CUTOFF,
@@ -124,6 +125,35 @@ class TestAssemble:
         b = assemble(sc, 0.6, grid, distances=d).matrix
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("n", [41, 40])
+    def test_toeplitz_straight_line(self, n):
+        # odd n puts a node on s = 0, even n a cell edge
+        straight = geo.ScaledCurve(geo.CurveSpec(), 0.0)
+        grid = Grid.uniform(7.0, n)
+        ref = assemble(straight, 0.6, grid,
+                       distances=pairwise_distances(straight, grid.nodes)).matrix
+        fast = assemble(straight, 0.6, grid).matrix
+        assert np.max(np.abs(fast - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_toeplitz_chosen_from_input(self, broken, monkeypatch):
+        calls = []
+        real = bs_core.pairwise_distances
+        monkeypatch.setattr(bs_core, "pairwise_distances",
+                            lambda curve, nodes: calls.append(1) or real(curve, nodes))
+        uniform = Grid.uniform(5.0, 20)
+        uneven = uniform.nodes.copy()
+        uneven[3] += 0.01
+        shifted = Grid(L=5.0, n=20, nodes=uneven, weights=uniform.weights)
+        cases = ((geo.CurveSpec(), uniform, 0),
+                 (geo.ScaledCurve(broken, 0.0), uniform, 0),
+                 (geo.CurveSpec(segments=((-1.0, 1.0, 0.0),)), uniform, 0),
+                 (geo.ScaledCurve(broken, 0.5), uniform, 1),
+                 (geo.CurveSpec(), shifted, 1))
+        for curve, grid, expect in cases:
+            calls.clear()
+            assemble(curve, 0.8, grid)
+            assert len(calls) == expect
+
     def test_entry_decay(self):
         # far off-diagonal entries fall below the exponential envelope
         straight = geo.ScaledCurve(geo.CurveSpec(), 0.0)
@@ -194,6 +224,9 @@ class TestEigensolver:
         assert vals == pytest.approx(ref[:3], rel=1e-12)
         # orthonormality
         assert vecs.T @ vecs == pytest.approx(np.eye(3), abs=1e-12)
+        # the m >= n - 1 case returns the whole spectrum
+        every, _ = top_eigenpairs(km, km.dim)
+        assert every == pytest.approx(ref, abs=1e-12 * ref[0])
 
     def test_dense_and_arpack_agree(self, broken):
         sc = geo.ScaledCurve(broken, 1.0)

@@ -95,6 +95,15 @@ class TestSolve:
         assert rc == EXIT_OK
         assert data["no_bound_state"] is True
 
+    @pytest.mark.parametrize("extra", [["--n", "1", "--L", "10"], ["--beta", "4"]],
+                             ids=["grid_too_small", "angle_over_pi"])
+    def test_bad_numeric_input(self, corner_file, capsys, extra):
+        rc = main(["solve", "--curve", corner_file] + extra)
+        assert rc == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+
 
 class TestCoef:
     def test_corner_coefficient(self, corner_file, capsys):

@@ -151,6 +151,12 @@ class TestMaxWorkers:
         monkeypatch.setenv("LEAKYWIRE_MAX_WORKERS", "1")
         assert max_workers(make_config(broken, workers=6), njobs=9) == 1
 
+    @pytest.mark.parametrize("value", ["abc", "2.5"])
+    def test_env_cap_malformed(self, broken, monkeypatch, value):
+        monkeypatch.setenv("LEAKYWIRE_MAX_WORKERS", value)
+        with pytest.raises(ConfigError, match="LEAKYWIRE_MAX_WORKERS"):
+            max_workers(make_config(broken), njobs=3)
+
 
 class TestSweepReport:
     @pytest.fixture()

@@ -9,8 +9,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 from leakywire import geometry as geo
+from leakywire import spectrum
 from leakywire.bs_core import Grid, assemble, top_eigenpairs
 from leakywire.spectrum import (
     NoBoundState,
@@ -95,6 +97,52 @@ class TestGroundState:
         assert np.array_equal(a.eigenfunction, b.eigenfunction)
 
 
+class TestRootFinding:
+    def test_each_kappa_assembled_once(self, monkeypatch):
+        sc = geo.ScaledCurve(geo.broken_line(1.5), 1.0)
+        grid = Grid.uniform(30.0, 300)
+        assembled = []
+        real_assemble = spectrum.assemble
+        monkeypatch.setattr(
+            spectrum, "assemble",
+            lambda curve, kappa, grid, distances=None:
+                assembled.append(kappa) or real_assemble(curve, kappa, grid, distances))
+        brent = {}
+        real_brentq = scipy.optimize.brentq
+
+        def counted_brentq(f, a, b, **kw):
+            brent["before"] = len(assembled)
+            out = real_brentq(f, a, b, **kw)
+            brent["calls"] = out[1].function_calls
+            brent["after"] = len(assembled)
+            return out
+
+        monkeypatch.setattr(scipy.optimize, "brentq", counted_brentq)
+        res = spectrum.solve_ground(sc, 1.0, grid)
+
+        assert isinstance(res, SpectralResult)
+        assert len(set(assembled)) == len(assembled)
+        # 1 margin check + bracket_hi steps before Brent; Brent's first two
+        # calls are the bracket ends, already assembled; result() adds none
+        bracket_steps = brent["before"] - 1
+        assert bracket_steps >= 1
+        assert len(assembled) == 1 + bracket_steps + brent["calls"] - 2
+        assert brent["after"] == len(assembled)
+        assert len(assembled) <= 12
+
+    @pytest.mark.parametrize("which", ["ground", "threshold"])
+    def test_root_brackets_sign_change(self, which):
+        grid = Grid.uniform(30.0, 300)
+        tol = 1e-8
+        if which == "ground":
+            curve = geo.ScaledCurve(geo.broken_line(1.5), 1.0)
+            kappa = solve_ground(curve, 1.0, grid, tol=tol).kappa
+        else:
+            curve = geo.ScaledCurve(geo.CurveSpec(), 0.0)
+            kappa = solve_threshold(1.0, grid, tol=tol)
+        assert eta(curve, kappa - tol, grid) - 1.0 > 0.0 > eta(curve, kappa + tol, grid) - 1.0
+
+
 class TestMonotonicity:
     def test_eta_strictly_decreasing(self, zigzag, broken):
         grid = Grid.uniform(30.0, 300)
@@ -172,7 +220,7 @@ class TestThresholdAnchoring:
 class TestScalingCovariance:
     def test_doubling_alpha_quarters_lambda(self):
         # alpha -> 2 alpha with the grid shrunk by 2 maps the kernel matrix
-        # to exactly half itself, so lambda scales by 4 to bisection accuracy
+        # to exactly half itself, so lambda scales by 4 to root-finding accuracy
         sc = geo.ScaledCurve(geo.broken_line(1.0), 1.0)
         r1 = solve_ground(sc, 1.0, Grid.uniform(60.0, 600), tol=1e-10)
         r2 = solve_ground(sc, 2.0, Grid.uniform(30.0, 600), tol=2e-10)
