@@ -20,9 +20,15 @@ computed from the antiderivative of K0 with the log part split off
 analytically.  The correction obeys the exact scaling value(kappa, h) =
 value(1, kappa*h).
 
-On a straight line sampled at equally spaced nodes with equal weights every
-chord is |s_i - s_j|, so M is a Toeplitz matrix: assembly evaluates K0 on
-one row (n values) instead of n^2.
+Off the diagonal, assembly follows the curve's pieces.  The grid splits into
+runs of consecutive nodes on one constant-curvature piece (straight tail,
+arc, or segment between vertices).  Inside a run every chord depends on
+|s - s'| alone, so on equally spaced, equally weighted nodes the run's
+diagonal block is a Toeplitz matrix built from one row of K0 values.  Each
+block between two runs is evaluated once from the chords of its node points
+and mirrored, so M is exactly symmetric.  The straight line is a single run:
+n K0 values instead of n^2.  A single corner needs fresh values only on the
+cross block, about n^2/4 entries.
 
 Eigensolves go dense (scipy.linalg.eigh restricted to the wanted pairs) up
 to 1500 nodes and through ARPACK (scipy.sparse.linalg.eigsh, largest
@@ -34,6 +40,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 import scipy.integrate
 import scipy.linalg
 import scipy.sparse.linalg
@@ -57,7 +64,8 @@ _RESIDUAL_FACTOR = 1e-10
 
 
 class EigensolverError(RuntimeError):
-    """Eigensolver failed to converge or missed the residual contract."""
+    """An eigenpair missed the residual contract, after the dense retry if
+    ARPACK did not converge."""
 
 
 @dataclass(frozen=True)
@@ -116,16 +124,6 @@ class KernelMatrix:
     def dim(self):
         return self.matrix.shape[0]
 
-    def dump_csv(self, path):
-        """Plain CSV, one matrix row per line; header lines start with '#'."""
-        header = (f"symmetrized Nystrom matrix, n={self.dim}, kappa={self.kappa!r}, "
-                  f"L={self.grid.L!r}, curve={self.curve_digest}, beta={self.beta!r}")
-        np.savetxt(path, self.matrix, delimiter=",", header=header)
-
-    def dump_npy(self, path):
-        """Row-major float64 .npy dump of the matrix alone."""
-        np.save(path, self.matrix)
-
 
 def q_kernel(curve, kappa, s, s2):
     """Off-diagonal kernel value (1/2pi) K0(kappa |gamma(s) - gamma(s')|).
@@ -178,53 +176,78 @@ def diag_correction(kappa, h):
 def pairwise_distances(curve, nodes):
     """Full chord-distance matrix between grid nodes on the scaled curve."""
     pts = geometry.point(curve, np.asarray(nodes, dtype=float))
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.sqrt(np.sum(diff * diff, axis=-1))
+    return _chords(pts, pts)
 
 
-def _is_toeplitz(curve, grid):
-    """True when M_ij depends on |i - j| alone: the curve has no bending,
-    the weights are equal and the nodes are equally spaced (up to the
-    rounding of their own computation)."""
-    base, beta = ((curve.base, curve.beta) if isinstance(curve, geometry.ScaledCurve)
-                  else (curve, 1.0))
-    straight = beta == 0.0 or (not base.vertices
-                               and all(seg.k == 0.0 for seg in base.segments))
-    w = grid.weights
-    return (straight and bool(np.all(w == w[0]))
-            and float(np.ptp(np.diff(grid.nodes))) <= 16.0 * np.finfo(float).eps * grid.L)
+def _runs(curve, grid):
+    """(start, stop) index ranges of the node runs whose diagonal blocks are
+    Toeplitz.
+
+    Consecutive nodes share a run while they lie on one constant-curvature
+    piece: a run ends where the tangent jumps or the curvature changes.  A
+    node on a break belongs to the piece on its left, as in geometry.point.
+    A run whose nodes are not equally spaced with equal weights is split into
+    single nodes, so its entries are evaluated one by one as cross blocks.
+    """
+    sc = geometry._as_scaled(curve)
+    ext, _, psi, curv, _ = sc._frame
+    # region r covers ext[r-1] < s <= ext[r]; tangent with which it ends
+    leaving = psi[:-1] + curv[:-1] * np.diff(ext, prepend=ext[0])
+    breaks = ext[(curv[1:] != curv[:-1]) | (psi[1:] != leaving)]
+    nodes, w = grid.nodes, grid.weights
+    piece = np.searchsorted(breaks, nodes, side="left")
+    edges = np.concatenate(([0], np.flatnonzero(np.diff(piece)) + 1, [grid.n]))
+    tol = 16.0 * np.finfo(float).eps * grid.L
+    runs = []
+    for start, stop in zip(edges[:-1], edges[1:]):
+        step = np.diff(nodes[start:stop])
+        if (np.all(w[start:stop] == w[start])
+                and (step.size == 0 or float(np.ptp(step)) <= tol)):
+            runs.append((start, stop))
+        else:
+            runs.extend((i, i + 1) for i in range(start, stop))
+    return runs
 
 
-def assemble(curve, kappa, grid, distances=None):
+def _chords(pa, pb):
+    """Chord lengths between two point sets of shape (m, 2) and (k, 2)."""
+    rho = np.subtract.outer(pa[:, 0], pb[:, 0])
+    dy = np.subtract.outer(pa[:, 1], pb[:, 1])
+    return np.hypot(rho, dy, out=rho)
+
+
+def assemble(curve, kappa, grid):
     """Symmetrized Nystrom matrix of the kernel at spectral parameter kappa.
 
-    kappa > alpha/2 is the intended regime but is not enforced here.  Passing
-    a precomputed distance matrix (from pairwise_distances) skips the
-    geometry work, which pays off inside root-finding loops where only kappa
-    changes.  Without one, a straight line on an equally spaced grid is
-    assembled as a Toeplitz matrix from its first row.
+    kappa > alpha/2 is the intended regime but is not enforced here.  K0 is
+    evaluated once per distinct entry: one row per Toeplitz run (see _runs),
+    written into the matrix through a strided view, and each block between a
+    run and all later nodes, mirrored into its transpose.  No n x n
+    temporary is made beyond the largest cross block and its chords.
     """
     if kappa <= 0 or not math.isfinite(kappa):
         raise ValueError("kappa must be positive and finite")
     w = grid.weights
-    if distances is None and _is_toeplitz(curve, grid):
-        rho = np.abs(grid.nodes - grid.nodes[0])
-        rho[0] = 1.0
-        mat = scipy.linalg.toeplitz(bessel_k0(kappa * rho) * (w[0] / (2.0 * math.pi)))
-    else:
-        if distances is None:
-            distances = pairwise_distances(curve, grid.nodes)
-        if distances.shape != (grid.n, grid.n):
-            raise ValueError("distance matrix does not match the grid")
-        # scaled in place: one n x n temporary fewer at K0's peak
-        rho = kappa * distances
-        np.fill_diagonal(rho, kappa)
-        mat = bessel_k0(rho)
-        del rho
-        mat /= 2.0 * math.pi
-        sw = np.sqrt(w)
-        mat *= sw[:, None]
-        mat *= sw[None, :]
+    sw = np.sqrt(w) / math.sqrt(2.0 * math.pi)
+    pts = geometry.point(curve, grid.nodes)
+    mat = np.empty((grid.n, grid.n))
+    for start, stop in _runs(curve, grid):
+        m = stop - start
+        rho = np.hypot(*(pts[start + 1:stop] - pts[start]).T)
+        row = np.zeros(m)  # row[0] is the diagonal, filled in below
+        row[1:] = bessel_k0(kappa * rho) * (w[start] / (2.0 * math.pi))
+        mat[start:stop, start:stop] = sliding_window_view(
+            np.concatenate((row[:0:-1], row)), m)[::-1]
+        if stop == grid.n:
+            continue
+        block = _chords(pts[start:stop], pts[stop:])
+        block *= kappa
+        block = bessel_k0(block)
+        block *= sw[start:stop, None]
+        block *= sw[None, stop:]
+        mat[start:stop, stop:] = block
+        mat[stop:, start:stop] = block.T
+        del block  # before the next run's chords are allocated
 
     if np.allclose(w, w[0]):
         diag = w[0] * diag_correction(kappa, float(w[0]))
@@ -237,13 +260,20 @@ def assemble(curve, kappa, grid, distances=None):
                         curve_digest=geometry.curve_digest(curve), beta=float(beta))
 
 
+def _dense_top(matrix, m):
+    n = matrix.shape[0]
+    vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[n - m, n - 1])
+    return vals[::-1], vecs[:, ::-1]
+
+
 def top_eigenpairs(mat, m=1, v0=None):
     """Largest m eigenvalues (descending) and orthonormal eigenvectors.
 
     Dense eigh of the top m pairs only up to DENSE_CUTOFF nodes, ARPACK
     largest-algebraic beyond, always with a deterministic start vector;
     inside root-finding loops the previous eigenvector makes a good v0 and
-    cuts the iteration count.
+    cuts the iteration count.  When ARPACK does not converge the dense
+    solve takes over.
     Every returned pair must pass ||Mv - eta v|| <= 1e-10 ||M||; a miss
     raises EigensolverError.
     """
@@ -256,20 +286,17 @@ def top_eigenpairs(mat, m=1, v0=None):
         raise ValueError(f"need 1 <= m <= {n}, got {m}")
 
     if n <= DENSE_CUTOFF or m >= n - 1:
-        vals, vecs = scipy.linalg.eigh(matrix, subset_by_index=[n - m, n - 1])
-        vals = vals[::-1]
-        vecs = vecs[:, ::-1]
+        vals, vecs = _dense_top(matrix, m)
     else:
         if v0 is None or v0.shape != (n,):
             v0 = np.full(n, 1.0 / math.sqrt(n))
         try:
             vals, vecs = scipy.sparse.linalg.eigsh(matrix, k=m, which="LA", v0=v0)
-        except scipy.sparse.linalg.ArpackNoConvergence as exc:
-            raise EigensolverError(
-                f"ARPACK did not converge for n={n}, m={m}: {exc}") from exc
-        order = np.argsort(vals)[::-1]
-        vals = vals[order]
-        vecs = vecs[:, order]
+        except scipy.sparse.linalg.ArpackNoConvergence:
+            vals, vecs = _dense_top(matrix, m)
+        else:
+            order = np.argsort(vals)[::-1]
+            vals, vecs = vals[order], vecs[:, order]
 
     scale = max(float(np.max(np.abs(vals))), np.finfo(float).tiny)
     resid = np.linalg.norm(matrix @ vecs - vecs * vals[None, :], axis=0)

@@ -1,194 +1,40 @@
 """Modified Bessel functions K0 and K1 for positive real arguments.
 
 These two functions carry the whole package: K0 is the free resolvent kernel
-in two dimensions and K1 = -K0' enters every derivative formula.  We keep our
-own implementation so the kernel assembly has a single well-tested code path
-with known accuracy (relative error at or below 1e-12 on [1e-8, 700]) and so
-vectorized evaluation over large distance matrices does not pay per-call
-overhead.
-
-Two branches:
-
-  x <= 2   ascending series about the origin,
-             K0(x) = -(log(x/2) + gamma) I0(x) + sum_k h_k (x^2/4)^k / (k!)^2
-             K1(x) = 1/x + log(x/2) I1(x)
-                     - (x/4) sum_k (h_k + h_{k+1} - 2 gamma) (x^2/4)^k / (k!(k+1)!)
-           with h_k the k-th harmonic number and gamma Euler's constant.
-
-  x > 2    exponentially scaled Chebyshev expansion,
-             K_nu(x) = e^{-x} x^{-1/2} * C_nu(4/x - 1),
-           whose coefficients were generated at 30-digit precision by
-           tools/gen_bessel_tables.py (cosine-node interpolation, trimmed at
-           1e-18 of the leading coefficient).
-
-The crossover sits at x = 2, not further out: in double precision the log-term
-cancellation of the ascending series grows like e^{2x} * eps, which already
-costs three digits by x = 8, while the scaled expansion is uniformly good for
-x >= 2.  Both branches agree to better than 1e-13 on [1.5, 3].
-
-Beyond x ~ 746 the scaled form underflows cleanly to 0.0, which is the correct
-rounded value of K_nu there.
+in two dimensions and K1 = -K0' enters every derivative formula.  Values come
+from scipy.special.k0 and k1; this module adds the domain check (arguments
+must be positive and finite) and the rule that a scalar input returns a
+float.  Against the 25-digit fixture in tests/fixtures/bessel_reference.json
+(158 points on [1e-8, 700]) the worst relative error is 3.0e-14 for K0 and
+3.1e-14 for K1.  Beyond x ~ 746 both underflow quietly to exactly 0.0, the
+correctly rounded value there.
 """
 
 import numpy as np
+import scipy.special
 
 EULER_GAMMA = 0.5772156649015328606
 
-_CROSSOVER = 2.0
 
-# Ascending-series tables.  _I0_COEF[k] = 1/(k!)^2, _K0_SUM[k] = h_k/(k!)^2,
-# _I1_COEF[k] = 1/(k!(k+1)!), _K1_SUM[k] = (h_k + h_{k+1})/(k!(k+1)!).
-# 18 terms keep the truncation error below 1e-17 up to x = 2 (t = x^2/4 <= 1).
-_NSER = 18
-
-
-def _series_tables():
-    kfac = [1.0]
-    for k in range(1, _NSER + 2):
-        kfac.append(kfac[-1] * k)
-    h = [0.0]
-    for k in range(1, _NSER + 2):
-        h.append(h[-1] + 1.0 / k)
-    i0 = np.array([1.0 / kfac[k] ** 2 for k in range(_NSER)])
-    k0s = np.array([h[k] / kfac[k] ** 2 for k in range(_NSER)])
-    i1 = np.array([1.0 / (kfac[k] * kfac[k + 1]) for k in range(_NSER)])
-    k1s = np.array([(h[k] + h[k + 1]) / (kfac[k] * kfac[k + 1]) for k in range(_NSER)])
-    return i0, k0s, i1, k1s
-
-
-_I0_COEF, _K0_SUM, _I1_COEF, _K1_SUM = _series_tables()
-
-# Generated by tools/gen_bessel_tables.py; do not edit by hand.
-# max rel err 2.1e-18 against 30-digit reference on [2, 2000]
-_K0_CHEB = np.array([
-    2.4403030820659554547,
-    -0.031448101311964500543,
-    0.0015698838857300533749,
-    -0.00012849549581627802638,
-    0.000013949813718876499364,
-    -1.8317555227191194848e-6,
-    2.7668136394450150761e-7,
-    -4.6604898976879476656e-8,
-    8.5740340174142260858e-9,
-    -1.6975345093890615156e-9,
-    3.5773972814003284472e-10,
-    -7.9574892444773970377e-11,
-    1.855949114954926555e-11,
-    -4.5145978833745191748e-12,
-    1.140340588207344235e-12,
-    -2.9800969231481783574e-13,
-    8.0328907750683743637e-14,
-    -2.2275133267462963056e-14,
-    6.3400764762766456936e-15,
-    -1.8485933779209068303e-15,
-    5.5120559994043312231e-16,
-    -1.6782311257548931358e-16,
-    5.2103917776434822097e-17,
-    -1.6475805939842283914e-17,
-    5.3004337711773192256e-18,
-])
-
-# max rel err 2.2e-18 against 30-digit reference on [2, 2000]
-_K1_CHEB = np.array([
-    2.7206261904844426694,
-    0.10392373657681723844,
-    -0.0028578168596227793868,
-    0.00019521551847135163111,
-    -0.0000193619797416608296,
-    2.4064849478372171171e-6,
-    -3.5019606030878125421e-7,
-    5.7410841254500492923e-8,
-    -1.0345762465678097027e-8,
-    2.0150497551970346161e-9,
-    -4.1903547593419255842e-10,
-    9.2183151876053141258e-11,
-    -2.1299678384277910216e-11,
-    5.1396396734823435407e-12,
-    -1.289173960949822935e-12,
-    3.3484196660522431177e-13,
-    -8.9767051820101460754e-14,
-    2.4771544242195987418e-14,
-    -7.0198370892147691192e-15,
-    2.0387031662398612426e-15,
-    -6.0570472706430203133e-16,
-    1.8380935752430527562e-16,
-    -5.6894628491937266806e-17,
-    1.7940510478863938508e-17,
-    -5.7567444820733549054e-18,
-])
-
-
-def _poly(t, coef):
-    # Horner on ascending-power coefficients, vectorized in t.
-    acc = np.full_like(t, coef[-1])
-    for c in coef[-2::-1]:
-        acc = acc * t + c
-    return acc
-
-
-def _clenshaw(t, coef):
-    b1 = np.zeros_like(t)
-    b2 = np.zeros_like(t)
-    for c in coef[:0:-1]:
-        b1, b2 = c + 2.0 * t * b1 - b2, b1
-    return 0.5 * coef[0] + t * b1 - b2
-
-
-def _k0_small(x):
-    t = 0.25 * x * x
-    i0 = _poly(t, _I0_COEF)
-    return -(np.log(0.5 * x) + EULER_GAMMA) * i0 + _poly(t, _K0_SUM)
-
-
-def _k1_small(x):
-    t = 0.25 * x * x
-    s1 = _poly(t, _I1_COEF)            # sum t^k / (k!(k+1)!)
-    i1 = 0.5 * x * s1
-    tail = _poly(t, _K1_SUM) - 2.0 * EULER_GAMMA * s1
-    return 1.0 / x + np.log(0.5 * x) * i1 - 0.25 * x * tail
-
-
-def _k_large(x, cheb):
-    t = 4.0 / x - 1.0
-    with np.errstate(under="ignore"):
-        return np.exp(-x) / np.sqrt(x) * _clenshaw(t, cheb)
-
-
-def _eval_branched(x, small, large):
-    x = np.asarray(x, dtype=float)
-    if x.size == 0:
-        return np.empty_like(x)
-    if not np.all(np.isfinite(x)) or np.any(x <= 0.0):
+def _evaluate(fn, x):
+    arr = np.asarray(x, dtype=float)
+    # min/max reduce without temporaries and propagate NaN into the test
+    if arr.size and not (arr.min() > 0.0 and arr.max() < np.inf):
         raise ValueError("argument must be positive and finite")
-    out = np.empty_like(x)
-    mask = x <= _CROSSOVER
-    if mask.any():
-        out[mask] = small(x[mask])
-    rest = ~mask
-    if rest.any():
-        out[rest] = large(x[rest])
-    return out
+    out = fn(arr)
+    return float(out) if arr.ndim == 0 else out
 
 
 def bessel_k0(x):
-    """K0(x) for x > 0.  Accepts scalars or arrays; scalar in, float out.
-
-    Relative error <= 1e-12 on [1e-8, 700]; underflows to exactly 0.0 once
-    e^{-x}/sqrt(x) drops below the subnormal range (x around 746).
-    """
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    out = _eval_branched(x, _k0_small, lambda v: _k_large(v, _K0_CHEB))
-    return float(out) if scalar else out
+    """K0(x) for x > 0.  Accepts scalars or arrays; scalar in, float out."""
+    return _evaluate(scipy.special.k0, x)
 
 
 def bessel_k1(x):
-    """K1(x) for x > 0.  Same domain, accuracy and shape rules as bessel_k0."""
-    scalar = np.isscalar(x) or np.ndim(x) == 0
-    out = _eval_branched(x, _k1_small, lambda v: _k_large(v, _K1_CHEB))
-    return float(out) if scalar else out
+    """K1(x) for x > 0.  Same domain and shape rules as bessel_k0."""
+    return _evaluate(scipy.special.k1, x)
 
 
 def k0_prime(x):
     """Derivative K0'(x) = -K1(x); strictly negative on the domain."""
-    out = bessel_k1(x)
-    return -out if np.isscalar(out) else -np.asarray(out)
+    return -bessel_k1(x)

@@ -15,10 +15,9 @@ above threshold the grid resolves nothing below the essential spectrum and
 solve_ground returns a NoBoundState value.  The straight line always takes
 that path.
 
-Distances between grid nodes do not depend on kappa, so a solve precomputes
-them once (a straight line needs none, see bs_core.assemble) and reassembles
-only the Bessel factor per root-finding step.  Each (kappa, level) pair is
-assembled and solved at most once per solve.
+Each (kappa, level) pair is assembled and solved at most once per solve.
+Every step rebuilds the whole matrix; bs_core.assemble keeps that cheap by
+evaluating K0 only on the entries the curve's pieces do not repeat.
 """
 
 import math
@@ -28,7 +27,7 @@ import numpy as np
 import scipy.optimize
 
 from . import geometry
-from .bs_core import Grid, _is_toeplitz, assemble, pairwise_distances, top_eigenpairs
+from .bs_core import Grid, assemble, top_eigenpairs
 
 __all__ = [
     "NoBoundState",
@@ -110,8 +109,9 @@ def _find_root(g, lo, hi, tol):
 
 
 class _Solver:
-    """Shared state for root finding: cached distances, and one assembly
-    and eigensolve per (kappa, level), remembered for the rest of the solve."""
+    """Shared state for root finding: one assembly and eigensolve per
+    (kappa, level), remembered for the rest of the solve, and the last
+    eigenvector of each level as the next ARPACK start vector."""
 
     def __init__(self, curve, alpha, grid, kappa_floor=None):
         if alpha <= 0 or not math.isfinite(alpha):
@@ -124,15 +124,13 @@ class _Solver:
         if not 0.0 < kappa_floor < 2.0 * self.alpha:
             raise ValueError("kappa_floor must lie in (0, 2 alpha)")
         self.floor = float(kappa_floor)
-        self.distances = (None if _is_toeplitz(curve, grid)
-                          else pairwise_distances(curve, grid.nodes))
         self._warm = {}
         self._pairs = {}
 
     def eigen(self, kappa, j):
         key = (float(kappa), j)
         if key not in self._pairs:
-            mat = assemble(self.curve, kappa, self.grid, distances=self.distances)
+            mat = assemble(self.curve, kappa, self.grid)
             vals, vecs = top_eigenpairs(mat, j, v0=self._warm.get(j))
             self._warm[j] = vecs[:, 0]
             self._pairs[key] = float(vals[j - 1]), vecs[:, j - 1]

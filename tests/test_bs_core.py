@@ -2,13 +2,18 @@
 
 The diagonal reference value was computed with mpmath quadrature of the cell
 average of K0 at 30 digits and is frozen here; the small Jacobi sweep in
-TestEigensolver is an independent oracle for the packaged solver.
+TestEigensolver is an independent oracle for the packaged solver.  The
+piecewise assembly is checked against a dense matrix built entry by entry in
+this file.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse.linalg
 
 from leakywire import bs_core
 from leakywire import geometry as geo
@@ -117,42 +122,73 @@ class TestAssemble:
         km = assemble(sc, 0.7, Grid.uniform(8.0, 64))
         assert np.array_equal(km.matrix, km.matrix.T)
 
-    def test_precomputed_distances_identical(self, zigzag):
-        sc = geo.ScaledCurve(zigzag, 1.0)
-        grid = Grid.uniform(8.0, 32)
-        d = pairwise_distances(sc, grid.nodes)
-        a = assemble(sc, 0.6, grid).matrix
-        b = assemble(sc, 0.6, grid, distances=d).matrix
-        assert np.array_equal(a, b)
+    @pytest.mark.parametrize("case", ["corner_odd", "corner_even", "wiggle",
+                                      "arc", "uneven"])
+    def test_matches_dense_reference(self, case, broken, zigzag):
+        grid = Grid.uniform(5.0, 40)
+        curve = geo.ScaledCurve(broken, 1.0)
+        if case == "corner_odd":
+            grid = Grid.uniform(5.0, 41)
+        elif case == "wiggle":
+            # vertices at -2 and at the pivot 0, where the wiggle composes
+            curve = geo.ScaledCurve(
+                geo.with_wiggle(geo.to_wiggle_frame(zigzag), 0.1), 1.0)
+        elif case == "arc":
+            curve = geo.ScaledCurve(
+                geo.CurveSpec(segments=((-2.0, 0.5, 0.5),), vertices=((0.5, 1.0),)),
+                0.8)
+        elif case == "uneven":
+            grid = uneven_grid(5.0, 40)
+        ref = dense_reference(curve, 0.7, grid)
+        mat = assemble(curve, 0.7, grid).matrix
+        assert np.max(np.abs(mat - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert np.array_equal(mat, mat.T)
 
     @pytest.mark.parametrize("n", [41, 40])
     def test_toeplitz_straight_line(self, n):
         # odd n puts a node on s = 0, even n a cell edge
         straight = geo.ScaledCurve(geo.CurveSpec(), 0.0)
         grid = Grid.uniform(7.0, n)
-        ref = assemble(straight, 0.6, grid,
-                       distances=pairwise_distances(straight, grid.nodes)).matrix
+        ref = dense_reference(straight, 0.6, grid)
         fast = assemble(straight, 0.6, grid).matrix
         assert np.max(np.abs(fast - ref)) <= 1e-14 * np.max(np.abs(ref))
 
-    def test_toeplitz_chosen_from_input(self, broken, monkeypatch):
-        calls = []
-        real = bs_core.pairwise_distances
-        monkeypatch.setattr(bs_core, "pairwise_distances",
-                            lambda curve, nodes: calls.append(1) or real(curve, nodes))
-        uniform = Grid.uniform(5.0, 20)
-        uneven = uniform.nodes.copy()
-        uneven[3] += 0.01
-        shifted = Grid(L=5.0, n=20, nodes=uneven, weights=uniform.weights)
-        cases = ((geo.CurveSpec(), uniform, 0),
-                 (geo.ScaledCurve(broken, 0.0), uniform, 0),
-                 (geo.CurveSpec(segments=((-1.0, 1.0, 0.0),)), uniform, 0),
-                 (geo.ScaledCurve(broken, 0.5), uniform, 1),
-                 (geo.CurveSpec(), shifted, 1))
+    def test_k0_evaluated_once_per_distinct_entry(self, broken, monkeypatch):
+        # array calls only: diag_correction's quadrature calls with scalars
+        evals = []
+        real = bs_core.bessel_k0
+        monkeypatch.setattr(
+            bs_core, "bessel_k0",
+            lambda x: (isinstance(x, np.ndarray) and evals.append(x.size)) or real(x))
+        n = 40
+        cases = (
+            # one Toeplitz run: one row
+            (geo.ScaledCurve(geo.CurveSpec(), 0.0), Grid.uniform(5.0, n), n - 1),
+            (geo.ScaledCurve(broken, 0.0), Grid.uniform(5.0, n), n - 1),
+            # a zero-curvature segment is no break
+            (geo.CurveSpec(segments=((-1.0, 1.0, 0.0),)), Grid.uniform(5.0, n), n - 1),
+            # two tails: two rows and the cross block
+            (geo.ScaledCurve(broken, 0.5), Grid.uniform(5.0, n),
+             2 * (n // 2 - 1) + (n // 2) ** 2),
+            # uneven nodes: every entry of the upper triangle
+            (geo.CurveSpec(), uneven_grid(5.0, n), n * (n - 1) // 2),
+        )
         for curve, grid, expect in cases:
-            calls.clear()
+            evals.clear()
             assemble(curve, 0.8, grid)
-            assert len(calls) == expect
+            assert sum(evals) == expect
+
+    def test_bent_peak_memory(self, broken):
+        n = 1200
+        sc = geo.ScaledCurve(broken, 1.0)
+        grid = Grid.uniform(75.0, n)
+        tracemalloc.start()
+        try:
+            assemble(sc, 0.5, grid)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * n * n
 
     def test_entry_decay(self):
         # far off-diagonal entries fall below the exponential envelope
@@ -189,6 +225,26 @@ class TestAssemble:
         m1 = assemble(sc, 0.7, g1).matrix
         m2 = assemble(sc, 1.4, g2).matrix
         assert m2 == pytest.approx(0.5 * m1, rel=1e-12)
+
+
+def uneven_grid(L, n):
+    """Uniform weights, one node moved off the equally spaced positions."""
+    uniform = Grid.uniform(L, n)
+    nodes = uniform.nodes.copy()
+    nodes[3] += 0.01
+    return Grid(L=L, n=n, nodes=nodes, weights=uniform.weights)
+
+
+def dense_reference(curve, kappa, grid):
+    """Every off-diagonal entry sqrt(w_i w_j) K0(kappa rho_ij) / 2pi from the
+    full chord matrix, and the cell average on the diagonal."""
+    rho = pairwise_distances(curve, grid.nodes)
+    np.fill_diagonal(rho, 1.0)
+    ref = bessel_k0(kappa * rho) / (2.0 * math.pi)
+    sw = np.sqrt(grid.weights)
+    ref *= sw[:, None] * sw[None, :]
+    np.fill_diagonal(ref, [w * diag_correction(kappa, w) for w in grid.weights])
+    return ref
 
 
 def jacobi_eigen(matrix, sweeps=30):
@@ -248,6 +304,22 @@ class TestEigensolver:
         v2, w2 = top_eigenpairs(km, 1, v0=w1[:, 0])
         assert v2[0] == pytest.approx(v1[0], rel=1e-12)
 
+    def test_arpack_failure_falls_back_to_dense(self, broken, monkeypatch):
+        sc = geo.ScaledCurve(broken, 1.0)
+        km = assemble(sc, 0.55, Grid.uniform(40.0, DENSE_CUTOFF + 40))
+
+        def no_convergence(*args, **kwargs):
+            raise scipy.sparse.linalg.ArpackNoConvergence("forced", [], [])
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        vals, vecs = top_eigenpairs(km, 2)
+        n = km.dim
+        ref_vals, ref_vecs = scipy.linalg.eigh(km.matrix, subset_by_index=[n - 2, n - 1])
+        assert vals == pytest.approx(ref_vals[::-1], rel=1e-12)
+        # eigenvectors agree up to sign
+        overlap = np.abs(np.sum(vecs * ref_vecs[:, ::-1], axis=0))
+        assert overlap == pytest.approx([1.0, 1.0], abs=1e-10)
+
     def test_bad_input(self):
         with pytest.raises(ValueError):
             top_eigenpairs(np.zeros((3, 4)), 1)
@@ -264,16 +336,3 @@ class TestEigensolver:
         with pytest.raises(EigensolverError):
             top_eigenpairs(mat, 1)
 
-
-class TestDump:
-    def test_csv_npy_round_trip(self, tmp_path, broken):
-        sc = geo.ScaledCurve(broken, 1.0)
-        km = assemble(sc, 0.8, Grid.uniform(3.0, 6))
-        pcsv = tmp_path / "m.csv"
-        pnpy = tmp_path / "m.npy"
-        km.dump_csv(pcsv)
-        km.dump_npy(pnpy)
-        back_csv = np.loadtxt(pcsv, delimiter=",")
-        back_npy = np.load(pnpy)
-        assert back_npy == pytest.approx(km.matrix, abs=0)
-        assert back_csv == pytest.approx(km.matrix, rel=1e-15)

@@ -1,7 +1,7 @@
 """Modified Bessel functions against a high-precision reference table.
 
 The fixture file was generated offline with mpmath at 25 significant digits
-(tools/gen_bessel_tables.py); these tests only read it.
+(tools/gen_bessel_fixture.py); these tests only read it.
 """
 
 import math

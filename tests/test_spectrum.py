@@ -105,8 +105,8 @@ class TestRootFinding:
         real_assemble = spectrum.assemble
         monkeypatch.setattr(
             spectrum, "assemble",
-            lambda curve, kappa, grid, distances=None:
-                assembled.append(kappa) or real_assemble(curve, kappa, grid, distances))
+            lambda curve, kappa, grid:
+                assembled.append(kappa) or real_assemble(curve, kappa, grid))
         brent = {}
         real_brentq = scipy.optimize.brentq
 
