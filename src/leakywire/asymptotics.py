@@ -296,7 +296,7 @@ def wiggle_slope(curve, alpha, cluster, grid):
     where psi is the plane eigenfunction generated by the kernel eigenfunction
     f.  Its norm has a closed-form kernel, the squared-resolvent identity
         (f, dQ/dkappa f) = -2 kappa ||psi||^2,
-    with ||psi||^2 = sum w_i w_j f_i f_j (rho_ij / 4 pi kappa) K1(kappa rho_ij)
+    with ||psi||^2 = h^2 sum f_i f_j (rho_ij / 4 pi kappa) K1(kappa rho_ij)
     and diagonal limit 1 / (4 pi kappa^2).  For a cluster both quadratic forms
     become m x m matrices and the slopes solve the generalized symmetric
     eigenproblem, returned ascending; the central finite difference check in
@@ -306,7 +306,7 @@ def wiggle_slope(curve, alpha, cluster, grid):
     if not results:
         raise ValueError("cluster must contain at least one level")
     for r in results:
-        if r.grid is not grid and (r.grid.n != grid.n or r.grid.L != grid.L):
+        if r.grid != grid:
             raise ValueError("cluster levels must be computed on the given grid")
 
     nu = float(np.mean([r.kappa for r in results]))
@@ -325,18 +325,15 @@ def wiggle_slope(curve, alpha, cluster, grid):
     pref = alpha * nu / (2.0 * math.pi)
     dmat = np.where(active, pref * bessel_k1(nu * rho_safe) * omat * hmat / rho_safe, 0.0)
 
-    sw = np.sqrt(grid.weights)
-    dmat *= sw[:, None]
-    dmat *= sw[None, :]
+    dmat *= grid.h
     dmat = 0.5 * (dmat + dmat.T)
 
     # norm kernel of the generated plane eigenfunction (squared resolvent)
     bmat = rho / (4.0 * math.pi * nu) * bessel_k1(nu * rho_safe)
     np.fill_diagonal(bmat, 1.0 / (4.0 * math.pi * nu * nu))
-    bmat *= sw[:, None]
-    bmat *= sw[None, :]
+    bmat *= grid.h
 
-    vecs = np.column_stack([r.eigenfunction * sw for r in results])
+    vecs = np.column_stack([r.eigenfunction for r in results]) * math.sqrt(grid.h)
     form = vecs.T @ dmat @ vecs
     norm = vecs.T @ bmat @ vecs
     slopes = scipy.linalg.eigh(-0.5 * (form + form.T) / alpha,

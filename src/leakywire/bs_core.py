@@ -5,30 +5,31 @@ The object of interest is the integral operator on the curve with kernel
     q(s, s') = (1/2pi) K0( kappa * |gamma(s) - gamma(s')| ),      kappa > 0,
 
 whose top eigenvalues decide where bound states sit.  The operator is
-discretized on a symmetric uniform grid over [-L, L] by a Nystrom rule in
-symmetrized form
+discretized by the midpoint rule on a Grid, which is nothing but (L, n):
+n cells of width h = 2L/n over [-L, L], a node at each cell center.  With
+equal weights the Nystrom matrix
 
-    M_ij = sqrt(w_i w_j) q(s_i, s_j),   i != j,
+    M_ij = h q(s_i, s_j),   i != j,
 
-so M stays symmetric and its eigenvalues approximate the operator's.  The
+is symmetric and its eigenvalues approximate the operator's.  The
 logarithmic singularity on the diagonal is integrable; the diagonal entry
 replaces the undefined q(s_i, s_i) by the exact cell average
 
-    M_ii = w_i * (1/w_i) int_{|t| <= w_i/2} (1/2pi) K0(kappa |t|) dt,
+    M_ii = int_{|t| <= h/2} (1/2pi) K0(kappa |t|) dt
+         = int_0^{kappa h/2} K0(u) du / (pi kappa),
 
-computed from the antiderivative of K0 with the log part split off
-analytically.  The correction obeys the exact scaling value(kappa, h) =
-value(1, kappa*h).
+the same for every node, with the K0 integral in closed form from scipy's
+Bessel and modified Struve functions (see diag_correction).
 
 Off the diagonal, assembly follows the curve's pieces.  The grid splits into
 runs of consecutive nodes on one constant-curvature piece (straight tail,
 arc, or segment between vertices).  Inside a run every chord depends on
-|s - s'| alone, so on equally spaced, equally weighted nodes the run's
-diagonal block is a Toeplitz matrix built from one row of K0 values.  Each
-block between two runs is evaluated once from the chords of its node points
-and mirrored, so M is exactly symmetric.  The straight line is a single run:
-n K0 values instead of n^2.  A single corner needs fresh values only on the
-cross block, about n^2/4 entries.
+|s - s'| alone, so on the equally spaced nodes the run's diagonal block is a
+Toeplitz matrix built from one row of K0 values.  Each block between two
+runs is evaluated once from the chords of its node points and mirrored, so
+M is exactly symmetric.  The straight line is a single run: n K0 values
+instead of n^2.  A single corner needs fresh values only on the cross
+block, about n^2/4 entries.  assemble returns M as a plain ndarray.
 
 Eigensolves go dense (scipy.linalg.eigh restricted to the wanted pairs) up
 to 1500 nodes and through ARPACK (scipy.sparse.linalg.eigsh, largest
@@ -37,21 +38,20 @@ algebraic) above, with a deterministic start vector and a residual check
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-import scipy.integrate
 import scipy.linalg
 import scipy.sparse.linalg
+import scipy.special
 
-from .specfun import EULER_GAMMA, bessel_k0
+from .specfun import bessel_k0
 from . import geometry
 
 __all__ = [
     "EigensolverError",
     "Grid",
-    "KernelMatrix",
     "assemble",
     "diag_correction",
     "pairwise_distances",
@@ -70,59 +70,34 @@ class EigensolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Quadrature grid on [-L, L]: nodes, positive weights summing to 2L."""
+    """Midpoint grid on [-L, L]: n cells of width h = 2L/n, one node at each
+    cell center, every node weighted h.
+
+    Symmetric about 0 and endpoint-free, so every node owns the cell
+    [s_i - h/2, s_i + h/2] that the diagonal correction averages over.
+    Grids compare equal when L and n do.
+    """
 
     L: float
     n: int
-    nodes: np.ndarray = field(repr=False)
-    weights: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if self.L <= 0 or self.n < 2:
-            raise ValueError("grid needs L > 0 and n >= 2")
-        if self.nodes.shape != (self.n,) or self.weights.shape != (self.n,):
-            raise ValueError("nodes/weights must have shape (n,)")
-        if np.any(self.weights <= 0):
-            raise ValueError("weights must be positive")
-        if np.any(np.abs(self.nodes) > self.L):
-            raise ValueError("nodes must lie in [-L, L]")
-        if abs(float(np.sum(self.weights)) - 2.0 * self.L) > 1e-9 * self.L:
-            raise ValueError("weights must sum to 2L")
+        if not 0.0 < self.L < math.inf or self.n < 2:
+            raise ValueError(
+                f"grid needs 0 < L < inf and n >= 2, got L={self.L}, n={self.n}")
 
     @classmethod
     def uniform(cls, L, n):
-        """Midpoint rule: cell width h = 2L/n, nodes at cell centers.
-
-        Symmetric about 0 and endpoint-free, so every node owns the cell
-        [s_i - h/2, s_i + h/2] that the diagonal correction averages over.
-        """
-        L = float(L)
-        n = int(n)
-        if n < 2 or L <= 0:
-            raise ValueError("grid needs L > 0 and n >= 2")
-        h = 2.0 * L / n
-        nodes = -L + (np.arange(n) + 0.5) * h
-        weights = np.full(n, h)
-        return cls(L=L, n=n, nodes=nodes, weights=weights)
+        """The grid of n cells over [-L, L], with L as float and n as int."""
+        return cls(L=float(L), n=int(n))
 
     @property
     def h(self):
         return 2.0 * self.L / self.n
 
-
-@dataclass(frozen=True)
-class KernelMatrix:
-    """Symmetric Nystrom matrix and the data it was assembled from."""
-
-    matrix: np.ndarray = field(repr=False)
-    kappa: float
-    grid: Grid
-    curve_digest: str
-    beta: float
-
     @property
-    def dim(self):
-        return self.matrix.shape[0]
+    def nodes(self):
+        return -self.L + (np.arange(self.n) + 0.5) * self.h
 
 
 def q_kernel(curve, kappa, s, s2):
@@ -139,38 +114,30 @@ def q_kernel(curve, kappa, s, s2):
     return bessel_k0(kappa * rho) / (2.0 * math.pi)
 
 
-def _k0_antiderivative(z):
-    """int_0^z K0(u) du with the log singularity handled analytically.
-
-    Splits K0(u) = [K0(u) + log(u/2) + gamma] - log(u/2) - gamma; the bracket
-    is smooth and vanishes at 0, the rest integrates in closed form.  For
-    z >= 30 the remaining mass is below 1e-14 and the full-line value pi/2
-    is returned.
-    """
-    if z <= 0:
-        return 0.0
-    if z >= 30.0:
-        return 0.5 * math.pi
-
-    def smooth(u):
-        if u < 1e-12:
-            return 0.0
-        return bessel_k0(u) + math.log(0.5 * u) + EULER_GAMMA
-
-    regular, _ = scipy.integrate.quad(smooth, 0.0, z, epsabs=1e-14, epsrel=1e-12)
-    return regular - z * (math.log(0.5 * z) - 1.0 + EULER_GAMMA)
-
-
 def diag_correction(kappa, h):
     """Cell average (1/h) int_{-h/2}^{h/2} (1/2pi) K0(kappa |t|) dt.
+
+    Equal to int_0^z K0(u) du / (pi kappa h) with z = kappa h / 2, and the
+    integral in closed form (Abramowitz & Stegun 11.1.8) from the modified
+    Struve functions L_0 and L_{-1} = L_1 + 2/pi:
+
+        int_0^z K0(u) du = (pi z / 2) (K0(z) L_{-1}(z) + K1(z) L_0(z)).
+
+    Against mpmath at 30 digits this is within 7e-16 relative for z <= 12
+    and 2e-13 up to z = 40; scipy.special.iti0k0 is off by up to 9e-15 for
+    z <= 2 and 1.5e-11 near z = 12.  Past z = 40 the integral is pi/2 to
+    double precision, and past z ~ 713 L_0 overflows, so z is capped at 40.
 
     Exact scaling: diag_correction(kappa, h) == diag_correction(1, kappa*h).
     For kappa*h -> 0 it grows like (1/2pi)(log(2/(kappa h)) + 1 - gamma + log 2).
     """
     if kappa <= 0 or h <= 0 or not (math.isfinite(kappa) and math.isfinite(h)):
         raise ValueError("kappa and h must be positive and finite")
-    z = 0.5 * kappa * h
-    return _k0_antiderivative(z) / (math.pi * kappa * h)
+    z = min(0.5 * kappa * h, 40.0)
+    int_k0 = 0.5 * math.pi * z * (
+        scipy.special.k0(z) * (scipy.special.modstruve(1, z) + 2.0 / math.pi)
+        + scipy.special.k1(z) * scipy.special.modstruve(0, z))
+    return float(int_k0) / (math.pi * kappa * h)
 
 
 def pairwise_distances(curve, nodes):
@@ -186,27 +153,15 @@ def _runs(curve, grid):
     Consecutive nodes share a run while they lie on one constant-curvature
     piece: a run ends where the tangent jumps or the curvature changes.  A
     node on a break belongs to the piece on its left, as in geometry.point.
-    A run whose nodes are not equally spaced with equal weights is split into
-    single nodes, so its entries are evaluated one by one as cross blocks.
     """
     sc = geometry._as_scaled(curve)
     ext, _, psi, curv, _ = sc._frame
     # region r covers ext[r-1] < s <= ext[r]; tangent with which it ends
     leaving = psi[:-1] + curv[:-1] * np.diff(ext, prepend=ext[0])
     breaks = ext[(curv[1:] != curv[:-1]) | (psi[1:] != leaving)]
-    nodes, w = grid.nodes, grid.weights
-    piece = np.searchsorted(breaks, nodes, side="left")
+    piece = np.searchsorted(breaks, grid.nodes, side="left")
     edges = np.concatenate(([0], np.flatnonzero(np.diff(piece)) + 1, [grid.n]))
-    tol = 16.0 * np.finfo(float).eps * grid.L
-    runs = []
-    for start, stop in zip(edges[:-1], edges[1:]):
-        step = np.diff(nodes[start:stop])
-        if (np.all(w[start:stop] == w[start])
-                and (step.size == 0 or float(np.ptp(step)) <= tol)):
-            runs.append((start, stop))
-        else:
-            runs.extend((i, i + 1) for i in range(start, stop))
-    return runs
+    return list(zip(edges[:-1], edges[1:]))
 
 
 def _chords(pa, pb):
@@ -217,7 +172,8 @@ def _chords(pa, pb):
 
 
 def assemble(curve, kappa, grid):
-    """Symmetrized Nystrom matrix of the kernel at spectral parameter kappa.
+    """Symmetric Nystrom matrix (ndarray) of the kernel at spectral
+    parameter kappa.
 
     kappa > alpha/2 is the intended regime but is not enforced here.  K0 is
     evaluated once per distinct entry: one row per Toeplitz run (see _runs),
@@ -227,15 +183,15 @@ def assemble(curve, kappa, grid):
     """
     if kappa <= 0 or not math.isfinite(kappa):
         raise ValueError("kappa must be positive and finite")
-    w = grid.weights
-    sw = np.sqrt(w) / math.sqrt(2.0 * math.pi)
+    h = grid.h
+    scale = h / (2.0 * math.pi)
     pts = geometry.point(curve, grid.nodes)
     mat = np.empty((grid.n, grid.n))
     for start, stop in _runs(curve, grid):
         m = stop - start
         rho = np.hypot(*(pts[start + 1:stop] - pts[start]).T)
         row = np.zeros(m)  # row[0] is the diagonal, filled in below
-        row[1:] = bessel_k0(kappa * rho) * (w[start] / (2.0 * math.pi))
+        row[1:] = bessel_k0(kappa * rho) * scale
         mat[start:stop, start:stop] = sliding_window_view(
             np.concatenate((row[:0:-1], row)), m)[::-1]
         if stop == grid.n:
@@ -243,21 +199,13 @@ def assemble(curve, kappa, grid):
         block = _chords(pts[start:stop], pts[stop:])
         block *= kappa
         block = bessel_k0(block)
-        block *= sw[start:stop, None]
-        block *= sw[None, stop:]
+        block *= scale
         mat[start:stop, stop:] = block
         mat[stop:, start:stop] = block.T
         del block  # before the next run's chords are allocated
 
-    if np.allclose(w, w[0]):
-        diag = w[0] * diag_correction(kappa, float(w[0]))
-        np.fill_diagonal(mat, diag)
-    else:
-        np.fill_diagonal(mat, w * np.array([diag_correction(kappa, float(wi)) for wi in w]))
-
-    beta = curve.beta if isinstance(curve, geometry.ScaledCurve) else 1.0
-    return KernelMatrix(matrix=mat, kappa=float(kappa), grid=grid,
-                        curve_digest=geometry.curve_digest(curve), beta=float(beta))
+    np.fill_diagonal(mat, h * diag_correction(kappa, h))
+    return mat
 
 
 def _dense_top(matrix, m):
@@ -277,7 +225,7 @@ def top_eigenpairs(mat, m=1, v0=None):
     Every returned pair must pass ||Mv - eta v|| <= 1e-10 ||M||; a miss
     raises EigensolverError.
     """
-    matrix = mat.matrix if isinstance(mat, KernelMatrix) else np.asarray(mat)
+    matrix = np.asarray(mat)
     n = matrix.shape[0]
     if matrix.shape != (n, n):
         raise ValueError("matrix must be square")

@@ -126,7 +126,7 @@ def cmd_solve(args):
     curve = _load_curve(args.curve)
     scaled = geometry.ScaledCurve(curve, args.beta)
     cfg = ExperimentConfig(curve=curve, alpha=args.alpha, n=args.n or 0,
-                           L=args.L or 0.0, tol=args.tol or 0.0)
+                           L=args.L or 0.0, tol=args.tol or 0.0, maxk=args.maxk)
     if cfg.n > 0 and cfg.L > 0:
         grid = Grid.uniform(cfg.L, cfg.n)
     else:

@@ -91,6 +91,8 @@ class ExperimentConfig:
                 raise ConfigError(f"beta {beta} must be nonzero and finite")
         if self.nodes_per_unit <= 0 or self.decay_multiplier <= 0:
             raise ConfigError("grid policy values must be positive")
+        if self.maxk < 1:
+            raise ConfigError(f"maxk must be at least 1, got {self.maxk}")
 
     def tol_or_none(self):
         return self.tol if self.tol > 0 else None
@@ -342,22 +344,14 @@ def sweep_beta(config):
     coef = a_coefficient(config.curve, config.alpha)
     threshold_cache = {}
 
-    # thresholds are cached per grid; compute rows with bounded parallelism
-    betas = list(config.beta_list)
-    rows = [None] * len(betas)
-    workers = max_workers(config, len(betas))
-    if workers == 1:
-        for i, beta in enumerate(betas):
-            rows[i] = _solve_beta_point(config, coef, beta, threshold_cache)
-    else:
-        # racing on the threshold cache is harmless: both threads would
-        # store the same deterministic value, one solve is just wasted
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = {pool.submit(_solve_beta_point, config, coef, beta,
-                                threshold_cache): i
-                    for i, beta in enumerate(betas)}
-            for fut in concurrent.futures.as_completed(futs):
-                rows[futs[fut]] = fut.result()
+    # thresholds are cached per grid; racing on the cache is harmless: both
+    # threads would store the same deterministic value, one solve is just
+    # wasted.  map keeps the rows in input order.
+    workers = max_workers(config, len(config.beta_list))
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        rows = list(pool.map(
+            lambda beta: _solve_beta_point(config, coef, beta, threshold_cache),
+            config.beta_list))
 
     fitted = [r for r in rows if r.get("outcome") == "bound_state"]
     fit = None

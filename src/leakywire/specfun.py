@@ -13,8 +13,6 @@ correctly rounded value there.
 import numpy as np
 import scipy.special
 
-EULER_GAMMA = 0.5772156649015328606
-
 
 def _evaluate(fn, x):
     arr = np.asarray(x, dtype=float)

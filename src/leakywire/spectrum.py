@@ -21,7 +21,7 @@ evaluating K0 only on the entries the curve's pieces do not repeat.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.optimize
@@ -68,8 +68,8 @@ class NoBoundState:
 class SpectralResult:
     """One discrete eigenvalue lambda = -kappa^2 with its kernel eigenfunction.
 
-    eigenfunction holds node values normalized to 1 in the weighted grid norm
-    sum w_i f_i^2.  residual is |alpha * eta - 1| at the returned kappa.
+    eigenfunction holds node values normalized to 1 in the grid norm
+    h sum f_i^2.  residual is |alpha * eta - 1| at the returned kappa.
     near_degenerate marks membership in a cluster of levels closer than the
     clustering tolerance.
     """
@@ -108,6 +108,21 @@ def _find_root(g, lo, hi, tol):
     return kappa
 
 
+def _bracket_end(g, x, step, growth, limit):
+    """First of the probes x, x + step, x + step + growth * step, ... at
+    which g has the sign of a bracket end on that side: g < 0 stepping up,
+    g > 0 stepping down (g decreases in kappa).  A probe past limit raises
+    NumericalError instead of being evaluated."""
+    start = x
+    while g(x) * step >= 0.0:
+        x += step
+        step *= growth
+        if (x - limit) * step > 0.0:
+            raise NumericalError(
+                f"no sign change between kappa = {start:.6g} and {limit:.6g}")
+    return x
+
+
 class _Solver:
     """Shared state for root finding: one assembly and eigensolve per
     (kappa, level), remembered for the rest of the solve, and the last
@@ -143,30 +158,23 @@ class _Solver:
     def kappa_lo(self):
         return self.floor * (1.0 + _KAPPA_LO_SHIFT)
 
-    def bracket_hi(self, j):
-        """First kappa with g_j < 0, found by doubling the offset above
-        the search floor from the bending-based heuristic start."""
-        half = self.floor
+    def root(self, j, tol):
+        """Level j's kappa; g_j(kappa_lo()) > 0 must already hold.  The
+        upper bracket end doubles its offset above the search floor from
+        a bending-based first guess."""
+        def g(kappa):
+            return self.g(kappa, j)
+
         phi = abs(geometry.total_bending(self.curve))
         offset = max(phi * phi, 1e-2) * self.alpha
-        while True:
-            hi = half + offset
-            if self.g(hi, j) < 0.0:
-                return hi
-            offset *= 2.0
-            if offset > _HI_CAP_FACTOR * self.alpha:
-                raise NumericalError(
-                    f"no sign change of level {j} up to kappa = {half + offset:.3g}")
-
-    def root(self, j, tol):
-        """Level j's kappa; g_j(kappa_lo()) > 0 must already hold."""
-        return _find_root(lambda k: self.g(k, j), self.kappa_lo(),
-                          self.bracket_hi(j), tol)
+        hi = _bracket_end(g, self.floor + offset, offset, 2.0,
+                          self.floor + _HI_CAP_FACTOR * self.alpha)
+        return _find_root(g, self.kappa_lo(), hi, tol)
 
     def result(self, kappa, j):
         val, vec = self.eigen(kappa, j)
         residual = abs(self.alpha * val - 1.0)
-        f = vec / np.sqrt(self.grid.weights)
+        f = vec / math.sqrt(self.grid.h)
         delta_sq = kappa * kappa - 0.25 * self.alpha * self.alpha
         return SpectralResult(
             kappa=float(kappa),
@@ -181,9 +189,11 @@ class _Solver:
 
 
 def _default_tol(alpha, tol):
-    if tol is not None:
-        return float(tol)
-    return 1e-8 * alpha
+    if tol is None:
+        return 1e-8 * alpha
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be positive and finite, got {tol}")
+    return float(tol)
 
 
 def eta(curve, kappa, grid, j=1):
@@ -227,6 +237,8 @@ def solve_all(curve, alpha, grid, maxk=8, tol=None, cluster_tol=None,
     near_degenerate, which downstream perturbation code treats as one
     cluster.
     """
+    if maxk < 1:
+        raise ValueError(f"maxk must be at least 1, got {maxk}")
     solver = _Solver(curve, alpha, grid, kappa_floor)
     tol = _default_tol(solver.alpha, tol)
     if cluster_tol is None:
@@ -243,13 +255,7 @@ def solve_all(curve, alpha, grid, maxk=8, tol=None, cluster_tol=None,
     for i in range(len(results) - 1):
         if abs(results[i].eigenvalue - results[i + 1].eigenvalue) < cluster_tol:
             for k in (i, i + 1):
-                r = flagged[k]
-                if not r.near_degenerate:
-                    flagged[k] = SpectralResult(
-                        kappa=r.kappa, eigenvalue=r.eigenvalue, delta=r.delta,
-                        residual=r.residual, level=r.level, grid=r.grid,
-                        curve_digest=r.curve_digest, eigenfunction=r.eigenfunction,
-                        near_degenerate=True)
+                flagged[k] = replace(flagged[k], near_degenerate=True)
     return flagged
 
 
@@ -266,16 +272,10 @@ def solve_threshold(alpha, grid, tol=None):
     solver = _Solver(straight, alpha, grid)
     tol = _default_tol(solver.alpha, tol)
 
-    lo = 0.35 * alpha
-    while solver.g(lo, 1) <= 0.0:
-        lo *= 0.7
-        if lo < 0.02 * alpha:
-            raise NumericalError("threshold bracketing failed from below")
-    hi = 0.5 * alpha
-    step = 0.01 * alpha
-    while solver.g(hi, 1) >= 0.0:
-        hi += step
-        step *= 2.0
-        if hi > 2.0 * alpha:
-            raise NumericalError("threshold bracketing failed from above")
-    return _find_root(lambda k: solver.g(k, 1), lo, hi, tol)
+    def g(kappa):
+        return solver.g(kappa, 1)
+
+    # lo probes 0.35 alpha * 0.7^k, hi probes 0.5 alpha + 0.01 alpha (2^k - 1)
+    lo = _bracket_end(g, 0.35 * alpha, -0.105 * alpha, 0.7, 0.02 * alpha)
+    hi = _bracket_end(g, 0.5 * alpha, 0.01 * alpha, 2.0, 2.0 * alpha)
+    return _find_root(g, lo, hi, tol)

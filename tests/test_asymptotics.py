@@ -158,15 +158,13 @@ class TestWiggleSlope:
         sub = Grid.uniform(8.0, 48)
         kappa, eps = 0.8, 1e-5
         sc = geo.ScaledCurve(frame, 1.0)
-        fd = (assemble(sc, kappa + eps, sub).matrix
-              - assemble(sc, kappa - eps, sub).matrix) / (2 * eps)
+        fd = (assemble(sc, kappa + eps, sub)
+              - assemble(sc, kappa - eps, sub)) / (2 * eps)
         rho = pairwise_distances(sc, sub.nodes)
         safe = np.where(rho > 0, rho, 1.0)
         bmat = safe / (4 * math.pi * kappa) * bessel_k1(kappa * safe)
         np.fill_diagonal(bmat, 1.0 / (4 * math.pi * kappa ** 2))
-        sw = np.sqrt(sub.weights)
-        bmat *= sw[:, None]
-        bmat *= sw[None, :]
+        bmat *= sub.h
         off = ~np.eye(sub.n, dtype=bool)
         np.testing.assert_allclose(fd[off], (-2 * kappa * bmat)[off], rtol=1e-5)
         # the diagonal quadrature correction carries its own O((kappa h)^2)
@@ -195,3 +193,9 @@ class TestWiggleSlope:
         a = wiggle_slope(frame, 1.0, ground, grid)
         b = wiggle_slope(frame, 1.0, [ground], grid)
         assert np.array_equal(a, b)
+        # grids compare by (L, n): an equal grid built anew is accepted,
+        # any other grid is rejected
+        c = wiggle_slope(frame, 1.0, ground, Grid.uniform(grid.L, grid.n))
+        assert np.array_equal(a, c)
+        with pytest.raises(ValueError):
+            wiggle_slope(frame, 1.0, ground, Grid.uniform(grid.L, grid.n + 2))

@@ -1,7 +1,7 @@
 """Kernel matrix assembly and the symmetric eigensolver layer.
 
-The diagonal reference value was computed with mpmath quadrature of the cell
-average of K0 at 30 digits and is frozen here; the small Jacobi sweep in
+The diagonal reference values were computed with mpmath quadrature of the cell
+average of K0 at 30 digits and are frozen here; the small Jacobi sweep in
 TestEigensolver is an independent oracle for the packaged solver.  The
 piecewise assembly is checked against a dense matrix built entry by entry in
 this file.
@@ -21,7 +21,6 @@ from leakywire.bs_core import (
     DENSE_CUTOFF,
     EigensolverError,
     Grid,
-    KernelMatrix,
     assemble,
     diag_correction,
     pairwise_distances,
@@ -35,7 +34,6 @@ class TestGrid:
     def test_uniform_midpoint(self):
         g = Grid.uniform(2.0, 4)
         assert g.nodes == pytest.approx([-1.5, -0.5, 0.5, 1.5])
-        assert g.weights == pytest.approx([1.0] * 4)
         assert g.h == pytest.approx(1.0)
 
     def test_even_n_avoids_origin(self):
@@ -47,16 +45,22 @@ class TestGrid:
         assert np.abs(Grid.uniform(10.0, 101).nodes).min() == 0.0
 
     def test_invariants(self):
-        with pytest.raises(ValueError):
-            Grid.uniform(-1.0, 10)
-        with pytest.raises(ValueError):
-            Grid.uniform(1.0, 0)
+        for L, n in ((-1.0, 10), (1.0, 0), (math.nan, 10), (math.inf, 10)):
+            with pytest.raises(ValueError, match="0 < L < inf and n >= 2"):
+                Grid.uniform(L, n)
 
 
 class TestDiagCorrection:
     def test_frozen_reference(self):
         assert diag_correction(1.0, 0.1) == pytest.approx(
             0.654539015356, rel=1e-11)
+        # kappa h / 2 = 2, the widest cell auto_grid builds below kappa = 4 alpha
+        assert diag_correction(1.0, 4.0) == pytest.approx(
+            0.117271388815551, rel=1e-14)
+        # far past the cell's decay length the K0 integral is pi/2, also
+        # where the modified Struve functions would overflow (kappa h / 2 > 713)
+        for kh in (200.0, 2000.0):
+            assert diag_correction(1.0, kh) == pytest.approx(0.5 / kh, rel=1e-15)
 
     def test_depends_on_product_only(self):
         # the cell average is a function of kappa * h alone
@@ -105,9 +109,7 @@ class TestAssemble:
     def test_matches_entries(self, broken):
         sc = geo.ScaledCurve(broken, 1.0)
         grid = Grid.uniform(5.0, 10)
-        km = assemble(sc, 0.8, grid)
-        assert isinstance(km, KernelMatrix)
-        mat = km.matrix
+        mat = assemble(sc, 0.8, grid)
         h = grid.h
         for i in (0, 3, 9):
             for j in (1, 5, 8):
@@ -119,11 +121,11 @@ class TestAssemble:
 
     def test_symmetric(self, zigzag):
         sc = geo.ScaledCurve(zigzag, 1.0)
-        km = assemble(sc, 0.7, Grid.uniform(8.0, 64))
-        assert np.array_equal(km.matrix, km.matrix.T)
+        mat = assemble(sc, 0.7, Grid.uniform(8.0, 64))
+        assert np.array_equal(mat, mat.T)
 
     @pytest.mark.parametrize("case", ["corner_odd", "corner_even", "wiggle",
-                                      "arc", "uneven"])
+                                      "arc"])
     def test_matches_dense_reference(self, case, broken, zigzag):
         grid = Grid.uniform(5.0, 40)
         curve = geo.ScaledCurve(broken, 1.0)
@@ -137,10 +139,8 @@ class TestAssemble:
             curve = geo.ScaledCurve(
                 geo.CurveSpec(segments=((-2.0, 0.5, 0.5),), vertices=((0.5, 1.0),)),
                 0.8)
-        elif case == "uneven":
-            grid = uneven_grid(5.0, 40)
         ref = dense_reference(curve, 0.7, grid)
-        mat = assemble(curve, 0.7, grid).matrix
+        mat = assemble(curve, 0.7, grid)
         assert np.max(np.abs(mat - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert np.array_equal(mat, mat.T)
 
@@ -150,16 +150,14 @@ class TestAssemble:
         straight = geo.ScaledCurve(geo.CurveSpec(), 0.0)
         grid = Grid.uniform(7.0, n)
         ref = dense_reference(straight, 0.6, grid)
-        fast = assemble(straight, 0.6, grid).matrix
+        fast = assemble(straight, 0.6, grid)
         assert np.max(np.abs(fast - ref)) <= 1e-14 * np.max(np.abs(ref))
 
     def test_k0_evaluated_once_per_distinct_entry(self, broken, monkeypatch):
-        # array calls only: diag_correction's quadrature calls with scalars
         evals = []
         real = bs_core.bessel_k0
-        monkeypatch.setattr(
-            bs_core, "bessel_k0",
-            lambda x: (isinstance(x, np.ndarray) and evals.append(x.size)) or real(x))
+        monkeypatch.setattr(bs_core, "bessel_k0",
+                            lambda x: evals.append(np.size(x)) or real(x))
         n = 40
         cases = (
             # one Toeplitz run: one row
@@ -170,8 +168,6 @@ class TestAssemble:
             # two tails: two rows and the cross block
             (geo.ScaledCurve(broken, 0.5), Grid.uniform(5.0, n),
              2 * (n // 2 - 1) + (n // 2) ** 2),
-            # uneven nodes: every entry of the upper triangle
-            (geo.CurveSpec(), uneven_grid(5.0, n), n * (n - 1) // 2),
         )
         for curve, grid, expect in cases:
             evals.clear()
@@ -194,7 +190,7 @@ class TestAssemble:
         # far off-diagonal entries fall below the exponential envelope
         straight = geo.ScaledCurve(geo.CurveSpec(), 0.0)
         grid = Grid.uniform(40.0, 200)
-        mat = assemble(straight, 1.0, grid).matrix
+        mat = assemble(straight, 1.0, grid)
         h = grid.h
         i = 0
         dist = np.abs(grid.nodes - grid.nodes[i])
@@ -210,8 +206,7 @@ class TestAssemble:
         sc = geo.ScaledCurve(broken, 1.0)
         vals = []
         for n in (200, 400, 800):
-            km = assemble(sc, 0.6, Grid.uniform(30.0, n))
-            v, _ = top_eigenpairs(km, 1)
+            v, _ = top_eigenpairs(assemble(sc, 0.6, Grid.uniform(30.0, n)), 1)
             vals.append(v[0])
         d1 = abs(vals[1] - vals[0])
         d2 = abs(vals[2] - vals[1])
@@ -222,28 +217,18 @@ class TestAssemble:
         sc = geo.ScaledCurve(broken, 1.0)
         g1 = Grid.uniform(16.0, 128)
         g2 = Grid.uniform(8.0, 128)
-        m1 = assemble(sc, 0.7, g1).matrix
-        m2 = assemble(sc, 1.4, g2).matrix
+        m1 = assemble(sc, 0.7, g1)
+        m2 = assemble(sc, 1.4, g2)
         assert m2 == pytest.approx(0.5 * m1, rel=1e-12)
 
 
-def uneven_grid(L, n):
-    """Uniform weights, one node moved off the equally spaced positions."""
-    uniform = Grid.uniform(L, n)
-    nodes = uniform.nodes.copy()
-    nodes[3] += 0.01
-    return Grid(L=L, n=n, nodes=nodes, weights=uniform.weights)
-
-
 def dense_reference(curve, kappa, grid):
-    """Every off-diagonal entry sqrt(w_i w_j) K0(kappa rho_ij) / 2pi from the
-    full chord matrix, and the cell average on the diagonal."""
+    """Every off-diagonal entry h K0(kappa rho_ij) / 2pi from the full chord
+    matrix, and h times the cell average on the diagonal."""
     rho = pairwise_distances(curve, grid.nodes)
     np.fill_diagonal(rho, 1.0)
-    ref = bessel_k0(kappa * rho) / (2.0 * math.pi)
-    sw = np.sqrt(grid.weights)
-    ref *= sw[:, None] * sw[None, :]
-    np.fill_diagonal(ref, [w * diag_correction(kappa, w) for w in grid.weights])
+    ref = grid.h * bessel_k0(kappa * rho) / (2.0 * math.pi)
+    np.fill_diagonal(ref, grid.h * diag_correction(kappa, grid.h))
     return ref
 
 
@@ -274,47 +259,47 @@ def jacobi_eigen(matrix, sweeps=30):
 class TestEigensolver:
     def test_against_jacobi(self, zigzag):
         sc = geo.ScaledCurve(zigzag, 1.0)
-        km = assemble(sc, 0.8, Grid.uniform(6.0, 24))
-        vals, vecs = top_eigenpairs(km, 3)
-        ref = jacobi_eigen(km.matrix)
+        mat = assemble(sc, 0.8, Grid.uniform(6.0, 24))
+        vals, vecs = top_eigenpairs(mat, 3)
+        ref = jacobi_eigen(mat)
         assert vals == pytest.approx(ref[:3], rel=1e-12)
         # orthonormality
         assert vecs.T @ vecs == pytest.approx(np.eye(3), abs=1e-12)
         # the m >= n - 1 case returns the whole spectrum
-        every, _ = top_eigenpairs(km, km.dim)
+        every, _ = top_eigenpairs(mat, len(mat))
         assert every == pytest.approx(ref, abs=1e-12 * ref[0])
 
     def test_dense_and_arpack_agree(self, broken):
         sc = geo.ScaledCurve(broken, 1.0)
-        km = assemble(sc, 0.55, Grid.uniform(40.0, DENSE_CUTOFF + 40))
-        vals_arpack, _ = top_eigenpairs(km, 2)
-        vals_dense = np.linalg.eigvalsh(km.matrix)[::-1][:2]
+        mat = assemble(sc, 0.55, Grid.uniform(40.0, DENSE_CUTOFF + 40))
+        vals_arpack, _ = top_eigenpairs(mat, 2)
+        vals_dense = np.linalg.eigvalsh(mat)[::-1][:2]
         assert vals_arpack == pytest.approx(vals_dense, rel=1e-10)
 
     def test_descending_order(self, zigzag):
         sc = geo.ScaledCurve(zigzag, 1.0)
-        km = assemble(sc, 0.7, Grid.uniform(10.0, 80))
-        vals, _ = top_eigenpairs(km, 5)
+        mat = assemble(sc, 0.7, Grid.uniform(10.0, 80))
+        vals, _ = top_eigenpairs(mat, 5)
         assert np.all(np.diff(vals) <= 0)
 
     def test_warm_start_same_answer(self, broken):
         sc = geo.ScaledCurve(broken, 1.0)
-        km = assemble(sc, 0.55, Grid.uniform(40.0, DENSE_CUTOFF + 40))
-        v1, w1 = top_eigenpairs(km, 1)
-        v2, w2 = top_eigenpairs(km, 1, v0=w1[:, 0])
+        mat = assemble(sc, 0.55, Grid.uniform(40.0, DENSE_CUTOFF + 40))
+        v1, w1 = top_eigenpairs(mat, 1)
+        v2, w2 = top_eigenpairs(mat, 1, v0=w1[:, 0])
         assert v2[0] == pytest.approx(v1[0], rel=1e-12)
 
     def test_arpack_failure_falls_back_to_dense(self, broken, monkeypatch):
         sc = geo.ScaledCurve(broken, 1.0)
-        km = assemble(sc, 0.55, Grid.uniform(40.0, DENSE_CUTOFF + 40))
+        mat = assemble(sc, 0.55, Grid.uniform(40.0, DENSE_CUTOFF + 40))
 
         def no_convergence(*args, **kwargs):
             raise scipy.sparse.linalg.ArpackNoConvergence("forced", [], [])
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
-        vals, vecs = top_eigenpairs(km, 2)
-        n = km.dim
-        ref_vals, ref_vecs = scipy.linalg.eigh(km.matrix, subset_by_index=[n - 2, n - 1])
+        vals, vecs = top_eigenpairs(mat, 2)
+        n = len(mat)
+        ref_vals, ref_vecs = scipy.linalg.eigh(mat, subset_by_index=[n - 2, n - 1])
         assert vals == pytest.approx(ref_vals[::-1], rel=1e-12)
         # eigenvectors agree up to sign
         overlap = np.abs(np.sum(vecs * ref_vecs[:, ::-1], axis=0))

@@ -95,14 +95,25 @@ class TestSolve:
         assert rc == EXIT_OK
         assert data["no_bound_state"] is True
 
-    @pytest.mark.parametrize("extra", [["--n", "1", "--L", "10"], ["--beta", "4"]],
-                             ids=["grid_too_small", "angle_over_pi"])
-    def test_bad_numeric_input(self, corner_file, capsys, extra):
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("extra, names", [
+        (["--n", "1", "--L", "10"], "n >= 2"),
+        (["--beta", "4"], "angle"),
+        (["--n", "64", "--L", "20", "--maxk", "0"], "maxk"),
+        (["--n", "64", "--L", "nan"], "L=nan"),
+        (["--n", "64", "--L", "inf"], "L=inf"),
+        (["--n", "64", "--L", "20", "--tol", "nan"], "tol must"),
+        (["--n", "64", "--L", "20", "--tol", "-1"], "tol must"),
+    ], ids=["grid_too_small", "angle_over_pi", "maxk_zero", "L_nan", "L_inf",
+            "tol_nan", "tol_negative"])
+    def test_bad_numeric_input(self, corner_file, capsys, extra, names):
         rc = main(["solve", "--curve", corner_file] + extra)
         assert rc == EXIT_INVALID
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert err.count("\n") == 1
+        # the message names the argument at fault
+        assert names in err
 
 
 class TestCoef:

@@ -62,6 +62,7 @@ class TestConfig:
         '[1, 2]',
         'not json',
         '{"curve": {"segments": [], "vertices": []}, "beta_list": 0.5}',
+        '{"curve": {"segments": [], "vertices": []}, "maxk": 0}',
     ])
     def test_from_json_rejects(self, text):
         with pytest.raises(ConfigError):
@@ -76,6 +77,8 @@ class TestConfig:
             make_config(broken, beta_list=(0.0,))
         with pytest.raises(ConfigError):
             make_config(broken, nodes_per_unit=0.0)
+        with pytest.raises(ConfigError, match="maxk"):
+            make_config(broken, maxk=0)
 
     def test_tol_or_none(self, broken):
         assert make_config(broken).tol_or_none() is None

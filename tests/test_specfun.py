@@ -29,15 +29,15 @@ def test_k1_against_reference(bessel_table):
 
 
 def test_branches_match_in_overlap():
-    # both the series and the large-x expansion are accurate near the
-    # crossover, so values must agree smoothly across it
+    # scipy.special.k0/k1, which the package wraps, switch between two
+    # Chebyshev expansions at x = 2; the values must be continuous across it
     xs = np.linspace(1.5, 3.0, 301)
     v = bessel_k0(xs)
     d2 = np.abs(np.diff(v, 2))
     assert np.all(np.isfinite(v))
     assert d2.max() < 1e-4
-    # a finite difference straddling the seam matches the true derivative,
-    # so any jump between the branches would have to be below ~1e-14
+    # a finite difference straddling x = 2 matches the true derivative, so
+    # any jump between scipy's two expansions would have to be below ~1e-14
     eps = 1e-6
     fd0 = (bessel_k0(2.0 - eps) - bessel_k0(2.0 + eps)) / (2 * eps)
     assert fd0 == pytest.approx(bessel_k1(2.0), rel=1e-7)

@@ -73,10 +73,10 @@ class TestGroundState:
     def test_eigenfunction_normalized_and_localized(self, bent_result):
         sc, grid, res = bent_result
         f = res.eigenfunction
-        assert float(np.sum(grid.weights * f * f)) == pytest.approx(1.0, rel=1e-10)
+        assert float(grid.h * np.sum(f * f)) == pytest.approx(1.0, rel=1e-10)
         # mass concentrates near the corner, tails die off
         inner = np.abs(grid.nodes) < 20.0
-        assert np.sum(grid.weights[inner] * f[inner] ** 2) > 0.5
+        assert grid.h * np.sum(f[inner] ** 2) > 0.5
         edge = np.abs(grid.nodes) > 0.9 * grid.L
         assert np.max(np.abs(f[edge])) < np.max(np.abs(f)) * 0.2
 
@@ -122,7 +122,7 @@ class TestRootFinding:
 
         assert isinstance(res, SpectralResult)
         assert len(set(assembled)) == len(assembled)
-        # 1 margin check + bracket_hi steps before Brent; Brent's first two
+        # 1 margin check + bracket-end probes before Brent; Brent's first two
         # calls are the bracket ends, already assembled; result() adds none
         bracket_steps = brent["before"] - 1
         assert bracket_steps >= 1
@@ -175,7 +175,7 @@ class TestMultiLevel:
 
         # eigenfunctions of distinct levels are orthogonal in the grid norm
         f1, f2 = levels[0].eigenfunction, levels[1].eigenfunction
-        overlap = float(np.sum(grid.weights * f1 * f2))
+        overlap = float(grid.h * np.sum(f1 * f2))
         assert abs(overlap) < 1e-8
 
     def test_cluster_flagging(self, twin_corners):
