@@ -317,7 +317,7 @@ def wiggle_slope(curve, alpha, cluster, grid):
     region2 = (S2 <= 0.0) & (S > 0.0)
     active = region1 | region2
 
-    rho = pairwise_distances(geometry.ScaledCurve(curve, 1.0), nodes)
+    rho = pairwise_distances(curve, nodes)
     rho_safe = np.where(rho > 0.0, rho, 1.0)
     heights = geometry.tail_frame_height(curve, nodes)
     hmat = np.where(region2, heights[None, :], heights[:, None])

@@ -23,7 +23,8 @@ Bessel and modified Struve functions (see diag_correction).
 
 Off the diagonal, assembly follows the curve's pieces.  The grid splits into
 runs of consecutive nodes on one constant-curvature piece (straight tail,
-arc, or segment between vertices).  Inside a run every chord depends on
+arc, or segment between vertices), cut at the arc lengths geometry.breaks
+reads from the curve's piece table.  Inside a run every chord depends on
 |s - s'| alone, so on the equally spaced nodes the run's diagonal block is a
 Toeplitz matrix built from one row of K0 values.  Each block between two
 runs is evaluated once from the chords of its node points and mirrored, so
@@ -151,15 +152,11 @@ def _runs(curve, grid):
     Toeplitz.
 
     Consecutive nodes share a run while they lie on one constant-curvature
-    piece: a run ends where the tangent jumps or the curvature changes.  A
-    node on a break belongs to the piece on its left, as in geometry.point.
+    piece: a run ends at each of geometry.breaks, where a vertex turns the
+    tangent or the curvature changes.  A node on a break belongs to the
+    piece on its left, as in geometry.point.
     """
-    sc = geometry._as_scaled(curve)
-    ext, _, psi, curv, _ = sc._frame
-    # region r covers ext[r-1] < s <= ext[r]; tangent with which it ends
-    leaving = psi[:-1] + curv[:-1] * np.diff(ext, prepend=ext[0])
-    breaks = ext[(curv[1:] != curv[:-1]) | (psi[1:] != leaving)]
-    piece = np.searchsorted(breaks, grid.nodes, side="left")
+    piece = np.searchsorted(geometry.breaks(curve), grid.nodes, side="left")
     edges = np.concatenate(([0], np.flatnonzero(np.diff(piece)) + 1, [grid.n]))
     return list(zip(edges[:-1], edges[1:]))
 

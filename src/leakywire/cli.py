@@ -14,6 +14,7 @@ bad config), 3 numerical non-convergence.
 """
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -67,20 +68,12 @@ def _build_config(args, need_curve=True):
     updates = {}
     if args.curve and getattr(args, "config", None):
         updates["curve"] = _load_curve(args.curve)
-    for name in ("alpha", "nodes_per_unit", "decay_multiplier", "n_cap",
-                 "n", "L", "tol", "maxk", "workers"):
-        val = getattr(args, name.replace("-", "_"), None)
+    for name in ("alpha", "beta_list", "phi_list", "nodes_per_unit",
+                 "decay_multiplier", "n_cap", "n", "L", "tol", "maxk", "workers"):
+        val = getattr(args, name, None)
         if val is not None:
             updates[name] = val
-    for attr, key in (("betas", "beta_list"), ("phis", "phi_list")):
-        val = getattr(args, attr, None)
-        if val is not None:
-            updates[key] = val
-    if updates:
-        kwargs = {f: getattr(cfg, f) for f in cfg.__dataclass_fields__}
-        kwargs.update(updates)
-        cfg = ExperimentConfig(**kwargs)
-    return cfg
+    return dataclasses.replace(cfg, **updates)
 
 
 def _emit(obj, args):
@@ -267,13 +260,13 @@ def build_parser():
 
     sp = sub.add_parser("sweep-beta", help="gap versus scaling")
     add_sweep_common(sp)
-    sp.add_argument("--betas", type=_float_list, default=None,
+    sp.add_argument("--betas", type=_float_list, default=None, dest="beta_list",
                     help="comma separated scalings, e.g. 0.6,0.8,1.0")
     sp.set_defaults(func=cmd_sweep_beta)
 
     sp = sub.add_parser("sweep-phi", help="eigenvalues versus wiggle angle")
     add_sweep_common(sp)
-    sp.add_argument("--phis", type=_float_list, default=None,
+    sp.add_argument("--phis", type=_float_list, default=None, dest="phi_list",
                     help="comma separated pivot angles")
     sp.add_argument("--maxk", type=int, default=None,
                     help="number of levels to track")
@@ -291,7 +284,15 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe fails here, inside the try
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; every --json/--out file is written before
+        # the print.  Point stdout at devnull so the flush at shutdown does
+        # not fail again (the recipe in the Python docs of signal)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     # CurveFormatError and ConfigError are ValueErrors too; a plain one comes
     # from numeric input out of range, such as a grid with n < 2
     except (ValueError, FileNotFoundError) as exc:

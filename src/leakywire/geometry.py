@@ -5,19 +5,28 @@ A curve is stored by its bending data rather than by a point table: finitely
 many constant-curvature segments (signed curvature k on [a, b]) and finitely
 many corner vertices (signed exterior angle at arc-length position s).
 Outside the smallest interval containing all of them the curve is straight.
-The unscaled tangent-angle profile
 
-    theta_hat(s) = integral of curvature up to s + sum of vertex angles passed
+The scaled family multiplies all bending by beta; a CurveSpec on its own is
+read as beta = 1.  Every query reads one piece table, built once per
+ScaledCurve with beta applied there and nowhere else.  Its edges are the
+segment ends and vertex positions plus s = 0.  Region r covers
+edges[r-1] < s <= edges[r], so the first region is the left tail and the
+last the right tail, and on it the tangent angle is linear,
 
-is piecewise linear and left-continuous (a vertex at p turns the tangent for
-s > p), normalized to vanish on the left tail.  The scaled family multiplies
-the whole profile by beta and reconstructs points from
+    psi(s) = psi_r + c_r (s - start_r),
 
-    gamma_beta(s) = ( int_0^s cos(beta*theta(u)) du,
-                      int_0^s sin(beta*theta(u)) du ),    theta = theta_hat - theta_hat(0),
+left-continuous: a vertex at p turns the tangent for s > p.  psi is measured
+from the tangent just left of s = 0.  The table keeps each edge's turn, and
+for each region its start, psi_r, c_r, the point gamma(start_r) and the
+integrals of the bending from the left tail, psi - psi_0, and of its square
+from the first edge up to start_r.  Points follow in closed form,
 
-integrated in closed form piece by piece: straight segments and circular arcs
-of radius 1/(beta*k).  beta = 0 reproduces the straight line exactly.
+    gamma(s) = ( int_0^s cos psi(u) du, int_0^s sin psi(u) du ),
+
+piece by piece as straight segments and circular arcs of radius 1/c_r, so
+gamma(0) is the origin and beta = 0 reproduces the straight line exactly.
+breaks() gives the edges where the piece changes, which is what the
+assembly in bs_core splits its grid at.
 
 Admissibility of a curve means its chords do not collapse: there is c in
 (0, 1] with |gamma(s) - gamma(s')| >= c |s - s'| for all pairs.  validate()
@@ -42,6 +51,7 @@ __all__ = [
     "Vertex",
     "bending",
     "bending_bracket",
+    "breaks",
     "broken_line",
     "curve_digest",
     "curve_from_json",
@@ -99,91 +109,6 @@ class CurvatureSegment:
             raise ValueError(f"segment needs a < b, got [{self.a}, {self.b}]")
 
 
-class _Profile:
-    """Piecewise data for theta_hat: breakpoints, slopes, cumulative integrals."""
-
-    def __init__(self, segments, vertices):
-        pos = set()
-        for seg in segments:
-            pos.add(seg.a)
-            pos.add(seg.b)
-        for v in vertices:
-            pos.add(v.s)
-        self.bp = np.array(sorted(pos), dtype=float)
-        m = self.bp.size
-        ang = np.zeros(m)
-        for v in vertices:
-            ang[np.searchsorted(self.bp, v.s)] += v.angle
-        self.ang = ang
-
-        # curvature on the piece starting at bp[j]; last piece is the right tail
-        slope = np.zeros(max(m, 1))
-        for seg in segments:
-            j0 = np.searchsorted(self.bp, seg.a)
-            j1 = np.searchsorted(self.bp, seg.b)
-            slope[j0:j1] = seg.k
-        self.slope = slope
-
-        th_left = np.zeros(m)
-        th_right = np.zeros(m)
-        run = 0.0
-        for j in range(m):
-            th_left[j] = run
-            run += ang[j]
-            th_right[j] = run
-            if j + 1 < m:
-                run += slope[j] * (self.bp[j + 1] - self.bp[j])
-        self.th_left = th_left
-        self.th_right = th_right
-
-        # cumulative integrals of theta_hat and theta_hat^2 from bp[0]
-        cum1 = np.zeros(m)
-        cum2 = np.zeros(m)
-        for j in range(m - 1):
-            L = self.bp[j + 1] - self.bp[j]
-            r, k = th_right[j], slope[j]
-            cum1[j + 1] = cum1[j] + r * L + 0.5 * k * L * L
-            cum2[j + 1] = cum2[j] + r * r * L + r * k * L * L + k * k * L**3 / 3.0
-        self.cum1 = cum1
-        self.cum2 = cum2
-
-    def theta(self, s):
-        """theta_hat, vectorized; left-continuous, zero on the left tail."""
-        s = np.asarray(s, dtype=float)
-        if self.bp.size == 0:
-            return np.zeros_like(s)
-        j = np.searchsorted(self.bp, s, side="left") - 1
-        inside = j >= 0
-        jj = np.where(inside, j, 0)
-        val = self.th_right[jj] + self.slope[jj] * (s - self.bp[jj])
-        return np.where(inside, val, 0.0)
-
-    def theta_right(self, x):
-        """Right limit of theta_hat at a single position x."""
-        base = float(self.theta(np.array(x)))
-        if self.bp.size:
-            hit = np.searchsorted(self.bp, x)
-            if hit < self.bp.size and self.bp[hit] == x:
-                base += self.ang[hit]
-        return base
-
-    def cumulatives(self, s):
-        """(int theta_hat, int theta_hat^2) from bp[0] to s, vectorized."""
-        s = np.asarray(s, dtype=float)
-        if self.bp.size == 0:
-            z = np.zeros_like(s)
-            return z, z.copy()
-        j = np.searchsorted(self.bp, s, side="left") - 1
-        inside = j >= 0
-        jj = np.where(inside, j, 0)
-        L = np.where(inside, s - self.bp[jj], 0.0)
-        r = self.th_right[jj]
-        k = self.slope[jj]
-        c1 = self.cum1[jj] + r * L + 0.5 * k * L * L
-        c2 = self.cum2[jj] + r * r * L + r * k * L * L + k * k * L**3 / 3.0
-        return np.where(inside, c1, 0.0), np.where(inside, c2, 0.0)
-
-
 @dataclass(frozen=True)
 class CurveSpec:
     """Bending data of an asymptotically straight curve (unscaled profile).
@@ -191,7 +116,8 @@ class CurveSpec:
     segments: constant-curvature intervals, disjoint up to shared endpoints.
     vertices: corners with signed angles, strictly increasing positions.
     The support is [min, max] over all endpoints and vertex positions; a curve
-    with no bending data is the straight line with support {0}.
+    with no bending data is the straight line with support {0}.  Queries on
+    a CurveSpec read it as the beta = 1 member of its scaled family.
     """
 
     segments: tuple = ()
@@ -211,20 +137,16 @@ class CurveSpec:
         object.__setattr__(self, "segments", segs)
         object.__setattr__(self, "vertices", verts)
 
-    @cached_property
-    def _profile(self):
-        return _Profile(self.segments, self.vertices)
-
     @property
     def support(self):
-        bp = self._profile.bp
-        if bp.size == 0:
+        pos = [v.s for v in self.vertices] + [x for s in self.segments for x in (s.a, s.b)]
+        if not pos:
             return (0.0, 0.0)
-        return (float(bp[0]), float(bp[-1]))
+        return (min(pos), max(pos))
 
     @cached_property
-    def _theta_at_zero(self):
-        return float(self._profile.theta(np.array(0.0)))
+    def _unit(self):
+        return ScaledCurve(self, 1.0)
 
 
 @dataclass(frozen=True)
@@ -248,56 +170,118 @@ class ScaledCurve:
                     f"scaled vertex angle |{self.beta} * {v.angle}| >= pi is not a corner")
 
     @cached_property
-    def _frame(self):
-        prof = self.base._profile
-        th0 = self.base._theta_at_zero
-        ext = np.unique(np.concatenate([prof.bp, [0.0]]))
-        m = ext.size
-        i0 = int(np.searchsorted(ext, 0.0))
+    def _pieces(self):
+        return _PieceTable(self.base, self.beta)
 
-        # region r covers ext[r-1] < s <= ext[r]; r = 0 is the left tail,
-        # r = m is the right tail.  Each region is an arc with constant
-        # curvature beta*k starting at its anchor ext[max(r-1, 0)].
-        psi = np.empty(m + 1)
+
+def _arc(origin, psi0, c, ds):
+    """Point reached from origin after arc length ds along a piece that
+    leaves it with tangent angle psi0 and curvature c: a straight segment
+    where |c| < _STRAIGHT_EPS, a circular arc otherwise.  Vectorized."""
+    cos0, sin0 = np.cos(psi0), np.sin(psi0)
+    step = np.stack((ds * cos0, ds * sin0), axis=-1)
+    bent = np.abs(c) >= _STRAIGHT_EPS
+    if bent.any():
+        c, cos0, sin0 = c[bent], cos0[bent], sin0[bent]
+        a1 = psi0[bent] + c * ds[bent]
+        step[bent] = np.stack(((np.sin(a1) - sin0) / c, (cos0 - np.cos(a1)) / c), axis=-1)
+    return origin + step
+
+
+def _moments(psi0, c, ds):
+    """Integrals of psi and psi^2 over [x, x + ds] for psi = psi0 + c (u - x)."""
+    return (psi0 * ds + 0.5 * c * ds * ds,
+            psi0 * psi0 * ds + psi0 * c * ds * ds + c * c * ds**3 / 3.0)
+
+
+class _PieceTable:
+    """The piece table of one scaled curve (see the module docstring).
+
+    Per edge: edges, turn.  Per region r (m + 1 of them for m edges): start,
+    psi, curv, origin (the point at start), int1 and int2 (the integrals of
+    phi and phi^2 from edges[0] to start, phi = psi - psi[0] the bending
+    from the left tail).
+    """
+
+    def __init__(self, base, beta):
+        edges = np.unique([0.0] + [v.s for v in base.vertices]
+                          + [x for seg in base.segments for x in (seg.a, seg.b)])
+        m = edges.size
+        turn = np.zeros(m)
+        for v in base.vertices:
+            turn[np.searchsorted(edges, v.s)] = v.angle
         curv = np.zeros(m + 1)
-        psi[0] = -self.beta * th0
+        for seg in base.segments:
+            curv[np.searchsorted(edges, seg.a) + 1:np.searchsorted(edges, seg.b) + 1] = seg.k
+        start = edges[np.maximum(np.arange(m + 1) - 1, 0)]
+
+        # unscaled tangent angle at each region's start, zero on the left
+        # tail; th0 is its left limit at s = 0
+        theta = np.zeros(m + 1)
+        run = 0.0
         for r in range(1, m + 1):
-            psi[r] = self.beta * (prof.theta_right(ext[r - 1]) - th0)
-        # curvature per interior region from the base profile slopes
-        if prof.bp.size:
-            for r in range(1, m):
-                mid = 0.5 * (ext[r - 1] + ext[r])
-                j = np.searchsorted(prof.bp, mid, side="left") - 1
-                curv[r] = self.beta * (prof.slope[j] if j >= 0 else 0.0)
+            run += turn[r - 1]
+            theta[r] = run
+            if r < m:
+                run += curv[r] * (edges[r] - edges[r - 1])
+        i0 = int(np.searchsorted(edges, 0.0))
+        th0 = theta[i0] + curv[i0] * (edges[i0] - start[i0])
 
-        # positions at the extended breakpoints, marching away from s = 0
-        X = np.zeros((m, 2))
-        for r in range(i0, m - 1):
-            X[r + 1] = X[r] + _arc_displacement(ext[r + 1] - ext[r], psi[r + 1], curv[r + 1])
-        for r in range(i0, 0, -1):
-            X[r - 1] = X[r] - _arc_displacement(ext[r] - ext[r - 1], psi[r], curv[r])
+        self.edges = edges
+        self.turn = beta * turn
+        self.start = start
+        self.psi = beta * (theta - th0)
+        self.curv = beta * curv
 
-        anchor_idx = np.concatenate([[0], np.arange(m)])
-        return ext, X, psi, curv, anchor_idx
+        # start points, marching outward from gamma(0) = 0 one interior
+        # region at a time (cumsum adds in that order); region r ends at
+        # edges[r]
+        step = _arc(0.0, self.psi[1:m], self.curv[1:m], np.diff(edges))
+        origin = np.zeros((m + 1, 2))
+        origin[i0 + 2:] = np.cumsum(step[i0:], axis=0)
+        origin[1:i0 + 1] = -np.cumsum(step[:i0][::-1], axis=0)[::-1]
+        origin[0] = origin[1]
+        self.origin = origin
 
-
-def _arc_displacement(length, psi0, c):
-    """Displacement along an arc of curvature c starting with tangent psi0."""
-    if abs(c) < _STRAIGHT_EPS:
-        return np.array([length * math.cos(psi0), length * math.sin(psi0)])
-    a1 = psi0 + c * length
-    return np.array([(math.sin(a1) - math.sin(psi0)) / c,
-                     (math.cos(psi0) - math.cos(a1)) / c])
+        # phi, not psi: it vanishes on the left tail, so the variance that
+        # bending_bracket forms over long tail stretches cancels no large
+        # moments (with psi the zigzag bracket lost about 1e-14 relative)
+        int1, int2 = _moments(self.psi[:-1] - self.psi[0], self.curv[:-1], np.diff(start))
+        self.int1 = np.concatenate(([0.0], np.cumsum(int1)))
+        self.int2 = np.concatenate(([0.0], np.cumsum(int2)))
 
 
 def _as_scaled(curve):
-    if isinstance(curve, ScaledCurve):
-        return curve
-    return ScaledCurve(curve, 1.0)
+    return curve if isinstance(curve, ScaledCurve) else curve._unit
+
+
+def _region(curve, s):
+    """Piece table of the curve and the region index of each s."""
+    table = _as_scaled(curve)._pieces
+    return table, np.searchsorted(table.edges, s, side="left")
+
+
+def breaks(curve):
+    """Sorted arc lengths where the curve changes piece: a vertex turns the
+    tangent or the curvature changes.
+
+    Read from the stored turns and curvatures, with no angle compared: the
+    edge the piece table adds at s = 0 is no break, and beta = 0 has none.
+    """
+    table = _as_scaled(curve)._pieces
+    return table.edges[(table.turn != 0.0) | (table.curv[1:] != table.curv[:-1])]
 
 
 # ---------------------------------------------------------------------------
 # profile queries
+
+
+def tangent_angle(curve, s):
+    """Tangent angle relative to the tangent just left of arc length 0."""
+    s = np.asarray(s, dtype=float)
+    table, r = _region(curve, s)
+    out = table.psi[r] + table.curv[r] * (s - table.start[r])
+    return float(out) if out.ndim == 0 else out
 
 
 def bending(curve, s, s2):
@@ -305,31 +289,14 @@ def bending(curve, s, s2):
 
     Counts vertex turns strictly between the endpoints plus the one sitting
     exactly at the lower endpoint, and integrates curvature over the interval.
-    For a ScaledCurve the profile is multiplied by beta.
     """
-    if isinstance(curve, ScaledCurve):
-        return curve.beta * bending(curve.base, s, s2)
-    prof = curve._profile
-    return float(prof.theta(np.array(float(s2))) - prof.theta(np.array(float(s))))
+    return float(tangent_angle(curve, s2) - tangent_angle(curve, s))
 
 
 def total_bending(curve):
     """Tangent turn between the two straight tails."""
-    if isinstance(curve, ScaledCurve):
-        return curve.beta * total_bending(curve.base)
-    prof = curve._profile
-    if prof.bp.size == 0:
-        return 0.0
-    return float(prof.th_right[-1])
-
-
-def tangent_angle(curve, s):
-    """Tangent angle relative to the tangent just left of arc length 0."""
-    if isinstance(curve, ScaledCurve):
-        return curve.beta * tangent_angle(curve.base, s)
-    prof = curve._profile
-    out = prof.theta(np.asarray(s, dtype=float)) - curve._theta_at_zero
-    return float(out) if np.ndim(s) == 0 else out
+    psi = _as_scaled(curve)._pieces.psi
+    return float(psi[-1] - psi[0])
 
 
 def bending_bracket(curve, s, s2):
@@ -342,14 +309,16 @@ def bending_bracket(curve, s, s2):
     so the reference endpoint drops out; symmetric and always <= 0.  Returns
     0 on the diagonal.
     """
-    if isinstance(curve, ScaledCurve):
-        return curve.beta**2 * bending_bracket(curve.base, s, s2)
-    prof = curve._profile
+    def integrals(x):
+        table, r = _region(curve, x)
+        i1, i2 = _moments(table.psi[r] - table.psi[0], table.curv[r], x - table.start[r])
+        return table.int1[r] + i1, table.int2[r] + i2
+
     s = np.asarray(s, dtype=float)
     s2 = np.asarray(s2, dtype=float)
     d = s - s2
-    c1a, c2a = prof.cumulatives(s)
-    c1b, c2b = prof.cumulatives(s2)
+    c1a, c2a = integrals(s)
+    c1b, c2b = integrals(s2)
     safe = np.where(d == 0.0, 1.0, d)
     m1 = (c1a - c1b) / safe
     m2 = (c2a - c2b) / safe
@@ -368,35 +337,9 @@ def point(curve, s):
     Scalars give a (2,) array, arrays give shape (..., 2).  Closed form:
     straight pieces and circular arcs, no quadrature.
     """
-    sc = _as_scaled(curve)
-    ext, X, psi, curv, anchor_idx = sc._frame
-    s_arr = np.asarray(s, dtype=float)
-    scalar = s_arr.ndim == 0
-    flat = np.atleast_1d(s_arr).ravel()
-
-    r = np.searchsorted(ext, flat, side="left")
-    aidx = anchor_idx[r]
-    ax = ext[aidx]
-    base = X[aidx]
-    ang0 = psi[r]
-    c = curv[r]
-    dx = flat - ax
-
-    out = np.empty((flat.size, 2))
-    straight = np.abs(c) < _STRAIGHT_EPS
-    if straight.any():
-        st = straight
-        out[st, 0] = base[st, 0] + dx[st] * np.cos(ang0[st])
-        out[st, 1] = base[st, 1] + dx[st] * np.sin(ang0[st])
-    bend_m = ~straight
-    if bend_m.any():
-        a1 = ang0[bend_m] + c[bend_m] * dx[bend_m]
-        out[bend_m, 0] = base[bend_m, 0] + (np.sin(a1) - np.sin(ang0[bend_m])) / c[bend_m]
-        out[bend_m, 1] = base[bend_m, 1] + (np.cos(ang0[bend_m]) - np.cos(a1)) / c[bend_m]
-
-    if scalar:
-        return out[0]
-    return out.reshape(s_arr.shape + (2,))
+    s = np.asarray(s, dtype=float)
+    table, r = _region(curve, s)
+    return _arc(table.origin[r], table.psi[r], table.curv[r], s - table.start[r])
 
 
 def distance(curve, s, s2):
@@ -473,8 +416,7 @@ def validate(curve, beta=1.0, floor=1e-3, n_inner=240, refine_rounds=3):
     diff = pts[:, None, :] - pts[None, :, :]
     rho = np.sqrt(np.sum(diff * diff, axis=-1))
     ds = np.abs(samples[:, None] - samples[None, :])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        ratio = np.where(ds > 1e-9, rho / np.where(ds > 1e-9, ds, 1.0), 1.0)
+    ratio = np.where(ds > 1e-9, rho / np.where(ds > 1e-9, ds, 1.0), 1.0)
 
     flat = np.argsort(ratio, axis=None)
     best = math.inf
@@ -488,7 +430,7 @@ def validate(curve, beta=1.0, floor=1e-3, n_inner=240, refine_rounds=3):
         if seen > 6:
             break
         si, sj = float(samples[i]), float(samples[j])
-        gap_i = span / 4.0 if samples.size < 2 else max(abs(si) * 0.5, span / 4.0)
+        gap_i = max(abs(si) * 0.5, span / 4.0)
         for _ in range(refine_rounds):
             si, _ = _golden(lambda x: _chord_ratio(sc, x, sj), si - gap_i, si + gap_i)
             sj, _ = _golden(lambda x: _chord_ratio(sc, si, x), sj - gap_i, sj + gap_i)
@@ -551,14 +493,8 @@ def with_wiggle(curve, phi):
     if hi > 0.0:
         raise ValueError("wiggle pivot must lie on the straight right tail; "
                          "use to_wiggle_frame first")
-    angle = float(phi)
-    verts = list(curve.vertices)
-    for i, v in enumerate(verts):
-        if v.s == 0.0:
-            angle += v.angle
-            verts.pop(i)
-            break
-    verts.append(Vertex(0.0, angle))
+    angle = float(phi) + sum(v.angle for v in curve.vertices if v.s == 0.0)
+    verts = [v for v in curve.vertices if v.s != 0.0] + [Vertex(0.0, angle)]
     return CurveSpec(segments=curve.segments, vertices=tuple(verts))
 
 
@@ -566,12 +502,8 @@ def tail_frame_height(curve, s):
     """Height above the straight right tail, in the frame where that tail is
     the positive x-axis through the origin.  Vectorized; exactly 0 for s >= 0
     when the curve is in the wiggle frame."""
-    sc = _as_scaled(curve)
-    prof = sc.base._profile
-    th0 = sc.base._theta_at_zero
-    last = prof.bp[-1] if prof.bp.size else 0.0
-    tail_angle = sc.beta * (prof.theta_right(last) - th0)
-    pts = point(sc, s)
+    tail_angle = _as_scaled(curve)._pieces.psi[-1]
+    pts = point(curve, s)
     y = -math.sin(tail_angle) * pts[..., 0] + math.cos(tail_angle) * pts[..., 1]
     return float(y) if np.ndim(s) == 0 else y
 
@@ -618,40 +550,27 @@ def curve_from_json(source):
             raise CurveFormatError(f"{where}['{key}'] must be finite")
         return float(val)
 
-    segments = []
-    if not isinstance(data["segments"], list):
-        raise CurveFormatError("'segments' must be a list")
-    for i, raw in enumerate(data["segments"]):
-        where = f"segments[{i}]"
-        if not isinstance(raw, dict):
-            raise CurveFormatError(f"{where} must be an object")
-        extra = set(raw) - {"a", "b", "k"}
-        if extra:
-            raise CurveFormatError(f"{where} has unknown keys: {sorted(extra)}")
-        try:
-            segments.append(CurvatureSegment(number(raw, "a", where),
-                                             number(raw, "b", where),
-                                             number(raw, "k", where)))
-        except ValueError as exc:
-            raise CurveFormatError(f"{where}: {exc}") from exc
+    def items(key, cls, fields):
+        if not isinstance(data[key], list):
+            raise CurveFormatError(f"'{key}' must be a list")
+        out = []
+        for i, raw in enumerate(data[key]):
+            where = f"{key}[{i}]"
+            if not isinstance(raw, dict):
+                raise CurveFormatError(f"{where} must be an object")
+            extra = set(raw) - set(fields)
+            if extra:
+                raise CurveFormatError(f"{where} has unknown keys: {sorted(extra)}")
+            try:
+                out.append(cls(*(number(raw, f, where) for f in fields)))
+            except ValueError as exc:
+                raise CurveFormatError(f"{where}: {exc}") from exc
+        return tuple(out)
 
-    vertices = []
-    if not isinstance(data["vertices"], list):
-        raise CurveFormatError("'vertices' must be a list")
-    for i, raw in enumerate(data["vertices"]):
-        where = f"vertices[{i}]"
-        if not isinstance(raw, dict):
-            raise CurveFormatError(f"{where} must be an object")
-        extra = set(raw) - {"s", "angle"}
-        if extra:
-            raise CurveFormatError(f"{where} has unknown keys: {sorted(extra)}")
-        try:
-            vertices.append(Vertex(number(raw, "s", where), number(raw, "angle", where)))
-        except ValueError as exc:
-            raise CurveFormatError(f"{where}: {exc}") from exc
-
+    segments = items("segments", CurvatureSegment, ("a", "b", "k"))
+    vertices = items("vertices", Vertex, ("s", "angle"))
     try:
-        return CurveSpec(segments=tuple(segments), vertices=tuple(vertices))
+        return CurveSpec(segments=segments, vertices=vertices)
     except ValueError as exc:
         raise CurveFormatError(str(exc)) from exc
 

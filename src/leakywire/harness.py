@@ -64,6 +64,7 @@ class ExperimentConfig:
     beta values must keep every scaled vertex angle inside (-pi, pi); phi
     values are pivot angles in (-pi, pi), zero allowed (it reproduces the
     unperturbed solve).  Explicit n and L override the automatic sizing.
+    tol = 0 stands for the root finder's default, 1e-8 alpha.
     """
 
     curve: geometry.CurveSpec
@@ -78,7 +79,6 @@ class ExperimentConfig:
     tol: float = 0.0
     maxk: int = 1
     workers: int = 0
-    seed: int = 0
 
     def __post_init__(self):
         if self.alpha <= 0 or not math.isfinite(self.alpha):
@@ -93,14 +93,17 @@ class ExperimentConfig:
             raise ConfigError("grid policy values must be positive")
         if self.maxk < 1:
             raise ConfigError(f"maxk must be at least 1, got {self.maxk}")
+        if not (self.tol == 0.0 or 0.0 < self.tol < math.inf):
+            raise ConfigError(
+                f"tol must be 0 (the default) or positive and finite, got {self.tol}")
 
     def tol_or_none(self):
-        return self.tol if self.tol > 0 else None
+        return self.tol or None
 
 
 _CONFIG_KEYS = {
     "curve", "curve_file", "alpha", "beta_list", "phi_list", "nodes_per_unit",
-    "decay_multiplier", "n_cap", "n", "L", "tol", "maxk", "workers", "seed",
+    "decay_multiplier", "n_cap", "n", "L", "tol", "maxk", "workers",
 }
 
 
@@ -133,7 +136,7 @@ def config_from_json(text, base_dir="."):
     for key in ("alpha", "nodes_per_unit", "decay_multiplier", "L", "tol"):
         if key in data:
             kwargs[key] = float(data[key])
-    for key in ("n_cap", "n", "maxk", "workers", "seed"):
+    for key in ("n_cap", "n", "maxk", "workers"):
         if key in data:
             kwargs[key] = int(data[key])
     for key in ("beta_list", "phi_list"):

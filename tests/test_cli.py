@@ -6,6 +6,7 @@ console script through a real subprocess to check the packaging wiring.
 
 import json
 import math
+import os
 import subprocess
 import sys
 
@@ -169,6 +170,13 @@ class TestSweeps:
         assert rc == EXIT_NUMERICAL
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_tol_rejected(self, corner_file, capsys):
+        # a sweep must not run silently at the default tolerance
+        rc = main(["sweep-beta", "--curve", corner_file, "--betas", "1.0",
+                   "--n", "64", "--L", "20", "--tol", "-1"])
+        assert rc == EXIT_INVALID
+        assert "tol must" in capsys.readouterr().err
+
     def test_empty_number_list_rejected(self, corner_file, capsys):
         # a shell quoting slip like --betas= must not sweep nothing
         with pytest.raises(SystemExit) as exc:
@@ -198,3 +206,18 @@ class TestConsoleScript:
             capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True
+
+    def test_closed_stdout_is_quiet(self, corner_file):
+        # as in `leakywire solve ... | head`: the reader is gone before the
+        # payload is printed
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "leakywire", "solve", "--curve",
+                 corner_file, "--n", "64", "--L", "20"],
+                stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert proc.stderr == ""

@@ -14,6 +14,11 @@ import scipy.integrate
 from leakywire import geometry as geo
 
 
+# a curvature segment and two corners, s = 0 on a straight stretch
+MIXED = geo.CurveSpec(segments=(geo.CurvatureSegment(-2.0, -0.5, 0.3),),
+                     vertices=(geo.Vertex(0.5, -0.4), geo.Vertex(1.5, 0.2)))
+
+
 def quad_point(sc, s):
     """Position by quadrature of (cos theta, sin theta); independent oracle."""
     bps = sorted({float(b) for b in breakpoints(sc)} | {0.0, float(s)})
@@ -46,10 +51,7 @@ class TestPoint:
         assert geo.point(sc, math.pi) == pytest.approx([2.0, 2.0], abs=1e-12)
 
     def test_against_quadrature(self, rng, zigzag):
-        mixed = geo.CurveSpec(
-            segments=(geo.CurvatureSegment(-2.0, -0.5, 0.3),),
-            vertices=(geo.Vertex(0.5, -0.4), geo.Vertex(1.5, 0.2)))
-        for curve in (zigzag, mixed):
+        for curve in (zigzag, MIXED):
             sc = geo.ScaledCurve(curve, 0.8)
             for s in rng.uniform(-6.0, 6.0, size=8):
                 assert geo.point(sc, float(s)) == pytest.approx(
@@ -130,6 +132,39 @@ class TestBending:
         b1 = geo.bending_bracket(geo.ScaledCurve(zigzag, 1.0), s, s2)
         bh = geo.bending_bracket(geo.ScaledCurve(zigzag, 0.5), s, s2)
         assert bh == pytest.approx(0.25 * b1, rel=1e-12)
+
+
+class TestPieceTable:
+    @pytest.mark.parametrize("curve, beta, expect", [
+        (geo.broken_line(1.0), 1.0, [0.0]),
+        (geo.broken_line(1.0), 0.0, []),
+        (geo.CurveSpec(), 1.0, []),
+        (geo.CurveSpec(segments=((0.0, math.pi, 0.5),)), 1.0, [0.0, math.pi]),
+        # equal curvature on both sides of 0.7: one arc, no break there
+        (geo.CurveSpec(segments=((-1.3, 0.7, 0.3), (0.7, 2.1, 0.3))), 1.0,
+         [-1.3, 2.1]),
+        # a corner where the arc ends is one break, not two
+        (geo.CurveSpec(segments=((0.0, 1.0, 0.5),), vertices=((1.0, 0.3),)), 1.0,
+         [0.0, 1.0]),
+    ], ids=["corner", "corner_beta0", "straight", "arc", "abutting_equal_k",
+            "vertex_on_segment_end"])
+    def test_breaks(self, curve, beta, expect):
+        got = geo.breaks(geo.ScaledCurve(curve, beta))
+        assert got.tolist() == expect
+
+    @pytest.mark.parametrize("query", [
+        lambda c, s: geo.point(c, s),
+        lambda c, s: geo.tangent_angle(c, s),
+        lambda c, s: [geo.bending(c, a, b) for a, b in zip(s, s[::-1])],
+        lambda c, s: geo.total_bending(c),
+        lambda c, s: geo.bending_bracket(c, s, s[::-1]),
+        lambda c, s: geo.tail_frame_height(c, s),
+    ], ids=["point", "tangent_angle", "bending", "total_bending",
+            "bending_bracket", "tail_frame_height"])
+    def test_unscaled_is_beta_one(self, query):
+        # a CurveSpec answers every query as its beta = 1 scaled curve
+        s = np.linspace(-4.0, 4.0, 33)
+        assert np.array_equal(query(MIXED, s), query(geo.ScaledCurve(MIXED, 1.0), s))
 
 
 class TestDistance:

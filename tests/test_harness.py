@@ -63,6 +63,10 @@ class TestConfig:
         'not json',
         '{"curve": {"segments": [], "vertices": []}, "beta_list": 0.5}',
         '{"curve": {"segments": [], "vertices": []}, "maxk": 0}',
+        '{"curve": {"segments": [], "vertices": []}, "tol": -1}',
+        '{"curve": {"segments": [], "vertices": []}, "tol": NaN}',
+        '{"curve": {"segments": [], "vertices": []}, "tol": Infinity}',
+        '{"curve": {"segments": [], "vertices": []}, "seed": 3}',
     ])
     def test_from_json_rejects(self, text):
         with pytest.raises(ConfigError):
@@ -79,6 +83,10 @@ class TestConfig:
             make_config(broken, nodes_per_unit=0.0)
         with pytest.raises(ConfigError, match="maxk"):
             make_config(broken, maxk=0)
+        # tol = 0 is the default sentinel; anything else must be a real tolerance
+        for tol in (-1.0, math.nan, math.inf):
+            with pytest.raises(ConfigError, match="tol"):
+                make_config(broken, tol=tol)
 
     def test_tol_or_none(self, broken):
         assert make_config(broken).tol_or_none() is None
