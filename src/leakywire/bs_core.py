@@ -32,10 +32,20 @@ M is exactly symmetric.  The straight line is a single run: n K0 values
 instead of n^2.  A single corner needs fresh values only on the cross
 block, about n^2/4 entries.  assemble returns M as a plain ndarray.
 
+A curve that s -> -s maps onto itself (geometry.mirror_symmetric: the unit
+corner, the straight line, a zigzag about 0) has, on the midpoint grid, a
+centrosymmetric M, M_ij = M_{n-1-i, n-1-j}.  Its spectrum is the union of
+an even and an odd block of about n/2 rows each, and assemble can return
+those blocks instead of M, built from the first ceil(n/2) rows of M alone;
+no n x n matrix is made.  unfold maps a block eigenvector back to all n
+nodes.
+
 Eigensolves go dense (scipy.linalg.eigh restricted to the wanted pairs) up
-to 1500 nodes and through ARPACK (scipy.sparse.linalg.eigsh, largest
-algebraic) above, with a deterministic start vector and a residual check
-||Mv - eta v|| <= 1e-10 ||M|| either way.
+to DENSE_CUTOFF = 500 rows and through ARPACK (scipy.sparse.linalg.eigsh,
+largest algebraic) above, with a deterministic start vector and a residual
+check ||Mv - eta v|| <= 1e-10 ||M|| either way, on whichever matrix or block
+is solved.  For an exactly folded block that residual equals the residual
+of the unfolded vector against M.
 """
 
 import math
@@ -58,9 +68,13 @@ __all__ = [
     "pairwise_distances",
     "q_kernel",
     "top_eigenpairs",
+    "unfold",
 ]
 
-DENSE_CUTOFF = 1500
+# dimension up to which top_eigenpairs solves dense: above it warm-started
+# ARPACK is faster for one pair (twice as fast at 752 rows), below it the
+# dense subset solve wins when two sweep threads share the cores
+DENSE_CUTOFF = 500
 _RESIDUAL_FACTOR = 1e-10
 
 
@@ -168,41 +182,95 @@ def _chords(pa, pb):
     return np.hypot(rho, dy, out=rho)
 
 
-def assemble(curve, kappa, grid):
+def assemble(curve, kappa, grid, parities=None):
     """Symmetric Nystrom matrix (ndarray) of the kernel at spectral
-    parameter kappa.
+    parameter kappa, or its folded blocks.
 
     kappa > alpha/2 is the intended regime but is not enforced here.  K0 is
     evaluated once per distinct entry: one row per Toeplitz run (see _runs),
     written into the matrix through a strided view, and each block between a
     run and all later nodes, mirrored into its transpose.  No n x n
     temporary is made beyond the largest cross block and its chords.
+
+    With parities, a tuple of +1 (even) and -1 (odd), the curve must be
+    geometry.mirror_symmetric, and the list of the wanted blocks of M in
+    that order is returned instead (see _fold).  Only the first ceil(n/2)
+    rows of M are built.
     """
     if kappa <= 0 or not math.isfinite(kappa):
         raise ValueError("kappa must be positive and finite")
+    n = grid.n
+    rows = n
+    if parities is not None:
+        if not geometry.mirror_symmetric(curve):
+            raise ValueError("folding needs a mirror-symmetric curve")
+        rows = (n + 1) // 2
     h = grid.h
     scale = h / (2.0 * math.pi)
     pts = geometry.point(curve, grid.nodes)
-    mat = np.empty((grid.n, grid.n))
+    mat = np.empty((rows, n))
     for start, stop in _runs(curve, grid):
+        if start >= rows:
+            break
         m = stop - start
+        built = min(stop, rows) - start
         rho = np.hypot(*(pts[start + 1:stop] - pts[start]).T)
         row = np.zeros(m)  # row[0] is the diagonal, filled in below
         row[1:] = bessel_k0(kappa * rho) * scale
-        mat[start:stop, start:stop] = sliding_window_view(
-            np.concatenate((row[:0:-1], row)), m)[::-1]
-        if stop == grid.n:
+        mat[start:start + built, start:stop] = sliding_window_view(
+            np.concatenate((row[:0:-1], row)), m)[::-1][:built]
+        if stop == n:
             continue
-        block = _chords(pts[start:stop], pts[stop:])
+        block = _chords(pts[start:start + built], pts[stop:])
         block *= kappa
         block = bessel_k0(block)
         block *= scale
-        mat[start:stop, stop:] = block
-        mat[stop:, start:stop] = block.T
+        mat[start:start + built, stop:] = block
+        if stop < rows:
+            mat[stop:, start:stop] = block[:, :rows - stop].T
         del block  # before the next run's chords are allocated
 
     np.fill_diagonal(mat, h * diag_correction(kappa, h))
-    return mat
+    if parities is None:
+        return mat
+    return [_fold(mat, parity) for parity in parities]
+
+
+def _fold(top, parity):
+    """Even (parity +1) or odd (-1) block of a centrosymmetric M from its
+    first ceil(n/2) rows.
+
+    With m = n // 2, A the leading m x m block of M, B the block to its
+    right and J the reversal, M maps even vectors (x, Jx) to even ones and
+    odd vectors (x, -Jx) to odd ones, acting on x as A + BJ and A - BJ
+    (Cantoni & Butler, Linear Algebra Appl. 13, 1976).  For odd n the axis
+    node m is part of every even vector and of no odd one; in the even block
+    its coupling carries a factor sqrt(2), which keeps the block symmetric
+    and its eigenvectors orthonormal.  unfold maps them back.
+    """
+    n = top.shape[1]
+    m = n // 2
+    folded = top[:m, :m] + parity * top[:m, ::-1][:, :m]
+    if parity < 0 or n == 2 * m:
+        return folded
+    out = np.empty((m + 1, m + 1))
+    out[:m, :m] = folded
+    out[:m, m] = out[m, :m] = math.sqrt(2.0) * top[:m, m]
+    out[m, m] = top[m, m]
+    return out
+
+
+def unfold(vec, n, parity):
+    """Unit vector on all n nodes from a unit vector of the even (parity +1)
+    or odd (-1) block of assemble, inverting the fold: the residual of a
+    block eigenpair is the residual of the unfolded pair against M."""
+    m = n // 2
+    out = np.empty(n)
+    out[:m] = vec[:m] / math.sqrt(2.0)
+    out[n - m:] = parity * out[m - 1::-1]
+    if n > 2 * m:
+        out[m] = vec[m] if parity > 0 else 0.0
+    return out
 
 
 def _dense_top(matrix, m):
@@ -214,7 +282,7 @@ def _dense_top(matrix, m):
 def top_eigenpairs(mat, m=1, v0=None):
     """Largest m eigenvalues (descending) and orthonormal eigenvectors.
 
-    Dense eigh of the top m pairs only up to DENSE_CUTOFF nodes, ARPACK
+    Dense eigh of the top m pairs only up to DENSE_CUTOFF rows, ARPACK
     largest-algebraic beyond, always with a deterministic start vector;
     inside root-finding loops the previous eigenvector makes a good v0 and
     cuts the iteration count.  When ARPACK does not converge the dense

@@ -129,9 +129,9 @@ def cmd_solve(args):
                    "beta": args.beta}, args)
             return EXIT_OK
         grid = auto_grid(cfg, delta)
-    thr = solve_threshold(args.alpha, grid, args.tol)
+    thr = solve_threshold(args.alpha, grid, cfg.tol_or_none())
     results = solve_all(scaled, args.alpha, grid, maxk=args.maxk,
-                        tol=args.tol, kappa_floor=thr)
+                        tol=cfg.tol_or_none(), kappa_floor=thr)
     if not results:
         _emit({"no_bound_state": True, "alpha": args.alpha, "beta": args.beta,
                "kappa_threshold": thr,

@@ -26,7 +26,8 @@ from the first edge up to start_r.  Points follow in closed form,
 piece by piece as straight segments and circular arcs of radius 1/c_r, so
 gamma(0) is the origin and beta = 0 reproduces the straight line exactly.
 breaks() gives the edges where the piece changes, which is what the
-assembly in bs_core splits its grid at.
+assembly in bs_core splits its grid at, and mirror_symmetric() whether
+s -> -s is a symmetry of the curve, which lets the solver fold its matrix.
 
 Admissibility of a curve means its chords do not collapse: there is c in
 (0, 1] with |gamma(s) - gamma(s')| >= c |s - s'| for all pairs.  validate()
@@ -57,6 +58,7 @@ __all__ = [
     "curve_from_json",
     "curve_to_dict",
     "distance",
+    "mirror_symmetric",
     "point",
     "shift",
     "tail_frame_height",
@@ -270,6 +272,23 @@ def breaks(curve):
     """
     table = _as_scaled(curve)._pieces
     return table.edges[(table.turn != 0.0) | (table.curv[1:] != table.curv[:-1])]
+
+
+def mirror_symmetric(curve):
+    """True when s -> -s maps the curve onto itself up to a rigid motion, so
+    that every chord |gamma(s) - gamma(s')| equals |gamma(-s) - gamma(-s')|.
+
+    Read from the piece table: the edges must be symmetric about 0, and the
+    turns and curvatures either both even in s (a reflection, as for a corner
+    at 0) or both odd in s (a point reflection, as for a zigzag about 0).
+    Compared exactly, with no tolerance; the straight line is symmetric.
+    """
+    table = _as_scaled(curve)._pieces
+    if not np.array_equal(table.edges, -table.edges[::-1]):
+        return False
+    return any(np.array_equal(table.turn, sign * table.turn[::-1])
+               and np.array_equal(table.curv, sign * table.curv[::-1])
+               for sign in (1.0, -1.0))
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,13 @@ solve_ground returns a NoBoundState value.  The straight line always takes
 that path.
 
 Each (kappa, level) pair is assembled and solved at most once per solve.
-Every step rebuilds the whole matrix; bs_core.assemble keeps that cheap by
-evaluating K0 only on the entries the curve's pieces do not repeat.
+Every step rebuilds the matrix; bs_core.assemble keeps that cheap by
+evaluating K0 only on the entries the curve's pieces do not repeat.  A
+mirror-symmetric curve (geometry.mirror_symmetric, read from its piece
+table) is solved on the even and odd half-size blocks of its matrix
+instead, which is exact: the ground state needs the even block alone, and
+the returned eigenfunction is unfolded to all n nodes.  eta always solves
+the full matrix and serves as the reference.
 """
 
 import math
@@ -27,7 +32,7 @@ import numpy as np
 import scipy.optimize
 
 from . import geometry
-from .bs_core import Grid, assemble, top_eigenpairs
+from .bs_core import Grid, assemble, top_eigenpairs, unfold
 
 __all__ = [
     "NoBoundState",
@@ -126,7 +131,14 @@ def _bracket_end(g, x, step, growth, limit):
 class _Solver:
     """Shared state for root finding: one assembly and eigensolve per
     (kappa, level), remembered for the rest of the solve, and the last
-    eigenvector of each level as the next ARPACK start vector."""
+    eigenvector of each block and level as the next ARPACK start vector.
+
+    A geometry.mirror_symmetric curve is solved on the even and odd blocks
+    of its matrix (bs_core.assemble with parities).  The ground state is the
+    Perron vector of the positive matrix M, which is even, so level 1 needs
+    the even block alone; level j is the j-th of the merged top values of
+    the two blocks, at most j of them even and j - 1 odd.
+    """
 
     def __init__(self, curve, alpha, grid, kappa_floor=None):
         if alpha <= 0 or not math.isfinite(alpha):
@@ -139,16 +151,28 @@ class _Solver:
         if not 0.0 < kappa_floor < 2.0 * self.alpha:
             raise ValueError("kappa_floor must lie in (0, 2 alpha)")
         self.floor = float(kappa_floor)
+        self.mirror = geometry.mirror_symmetric(curve)
         self._warm = {}
         self._pairs = {}
 
     def eigen(self, kappa, j):
         key = (float(kappa), j)
         if key not in self._pairs:
-            mat = assemble(self.curve, kappa, self.grid)
-            vals, vecs = top_eigenpairs(mat, j, v0=self._warm.get(j))
-            self._warm[j] = vecs[:, 0]
-            self._pairs[key] = float(vals[j - 1]), vecs[:, j - 1]
+            if self.mirror:
+                parities = (1, -1) if j > 1 else (1,)
+                blocks = assemble(self.curve, kappa, self.grid, parities=parities)
+            else:
+                parities, blocks = (None,), [assemble(self.curve, kappa, self.grid)]
+            found = []
+            for parity, mat in zip(parities, blocks):
+                m = j - 1 if parity == -1 else j
+                vals, vecs = top_eigenpairs(mat, m, v0=self._warm.get((parity, m)))
+                self._warm[(parity, m)] = vecs[:, 0]
+                found += [(val, parity, vecs[:, i]) for i, val in enumerate(vals)]
+            val, parity, vec = sorted(found, key=lambda pair: -pair[0])[j - 1]
+            if parity is not None:
+                vec = unfold(vec, self.grid.n, parity)
+            self._pairs[key] = float(val), vec
         return self._pairs[key]
 
     def g(self, kappa, j):

@@ -26,6 +26,7 @@ from leakywire.bs_core import (
     pairwise_distances,
     q_kernel,
     top_eigenpairs,
+    unfold,
 )
 from leakywire.specfun import bessel_k0
 
@@ -220,6 +221,67 @@ class TestAssemble:
         m1 = assemble(sc, 0.7, g1)
         m2 = assemble(sc, 1.4, g2)
         assert m2 == pytest.approx(0.5 * m1, rel=1e-12)
+
+
+class TestFold:
+    @pytest.fixture
+    def cases(self, broken, zigzag):
+        straight = geo.ScaledCurve(geo.CurveSpec(), 0.0)
+        corner = geo.ScaledCurve(broken, 1.0)
+        return [(corner, Grid.uniform(6.0, 41)), (corner, Grid.uniform(6.0, 40)),
+                (geo.ScaledCurve(zigzag, 1.0), Grid.uniform(6.0, 41)),
+                (straight, Grid.uniform(6.0, 41)), (straight, Grid.uniform(6.0, 40))]
+
+    def test_blocks_share_full_spectrum(self, cases):
+        # the even and odd blocks together carry every eigenvalue of M
+        for curve, grid in cases:
+            full = np.linalg.eigvalsh(assemble(curve, 0.7, grid))
+            even, odd = assemble(curve, 0.7, grid, parities=(1, -1))
+            assert (len(even), len(odd)) == ((grid.n + 1) // 2, grid.n // 2)
+            # symmetric up to the rounding in M's centrosymmetry
+            for block in (even, odd):
+                assert np.max(np.abs(block - block.T)) <= 1e-15 * np.max(block)
+            folded = np.sort(np.concatenate((np.linalg.eigvalsh(even),
+                                             np.linalg.eigvalsh(odd))))
+            assert np.max(np.abs(folded - full)) <= 1e-14 * np.max(np.abs(full))
+
+    def test_block_residual_is_full_residual(self, cases):
+        for curve, grid in cases:
+            mat = assemble(curve, 0.7, grid)
+            blocks = assemble(curve, 0.7, grid, parities=(1, -1))
+            for parity, block in zip((1, -1), blocks):
+                vals, vecs = top_eigenpairs(block, 2)
+                full = unfold(vecs[:, 0], grid.n, parity)
+                assert np.linalg.norm(full) == pytest.approx(1.0, rel=1e-14)
+                assert np.array_equal(full[::-1], parity * full)
+                # the identity holds for any vector, not only eigenvectors
+                u = vecs[:, 0] + 0.1 * vecs[:, 1]
+                for vec in (vecs[:, 0], u):
+                    block_res = np.linalg.norm(block @ vec - vals[0] * vec)
+                    v = unfold(vec, grid.n, parity)
+                    full_res = np.linalg.norm(mat @ v - vals[0] * v)
+                    assert abs(block_res - full_res) <= 1e-14 * max(full_res, vals[0])
+                assert np.linalg.norm(mat @ full - vals[0] * full) <= 1e-13 * vals[0]
+
+    def test_asymmetric_curve_not_folded(self, broken):
+        for curve in (geo.CurveSpec(vertices=((-2.0, 0.6), (2.0, 0.5))),
+                      geo.shift(broken, 0.3)):
+            with pytest.raises(ValueError, match="mirror-symmetric"):
+                assemble(curve, 0.7, Grid.uniform(6.0, 40), parities=(1,))
+
+    def test_folded_peak_memory(self, broken):
+        # the first ceil(n/2) rows and the blocks, no n x n matrix: below
+        # the 1.5 matrices the unfolded bent assembly peaks at
+        n = 1200
+        sc = geo.ScaledCurve(broken, 1.0)
+        grid = Grid.uniform(75.0, n)
+        tracemalloc.start()
+        try:
+            assemble(sc, 0.5, grid, parities=(1, -1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * 8 * n * n
 
 
 def dense_reference(curve, kappa, grid):

@@ -96,6 +96,17 @@ class TestSolve:
         assert rc == EXIT_OK
         assert data["no_bound_state"] is True
 
+    def test_tol_zero_is_default(self, corner_file, capsys):
+        # 0 selects the default tolerance, as in the sweep commands
+        grid = ["--n", "64", "--L", "20", "--maxk", "2"]
+        rc, plain = run_json(capsys, ["solve", "--curve", corner_file] + grid)
+        assert rc == EXIT_OK
+        rc, zero = run_json(capsys, ["solve", "--curve", corner_file] + grid
+                            + ["--tol", "0"])
+        assert rc == EXIT_OK
+        assert zero["levels"] == plain["levels"]
+        assert zero["kappa_threshold"] == plain["kappa_threshold"]
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("extra, names", [
         (["--n", "1", "--L", "10"], "n >= 2"),

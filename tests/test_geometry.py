@@ -152,6 +152,40 @@ class TestPieceTable:
         got = geo.breaks(geo.ScaledCurve(curve, beta))
         assert got.tolist() == expect
 
+    @pytest.mark.parametrize("curve, beta, expect", [
+        (geo.broken_line(1.0), 1.0, True),
+        (geo.broken_line(1.0), 0.0, True),
+        (geo.CurveSpec(), 0.0, True),
+        # point reflection: a zigzag about 0, and an S-shaped pair of arcs
+        (geo.CurveSpec(vertices=((-1.0, 0.8), (1.0, -0.8))), 0.7, True),
+        (geo.CurveSpec(segments=((-2.0, 0.0, 0.4), (0.0, 2.0, -0.4))), 1.0, True),
+        # reflection: equal corners, an arc centred on 0, mixed pieces
+        (geo.CurveSpec(vertices=((-20.0, 1.2), (20.0, 1.2))), 1.0, True),
+        (geo.CurveSpec(segments=((-1.5, 1.5, 0.3),)), 1.0, True),
+        (geo.CurveSpec(segments=((-2.0, -1.0, 0.2), (1.0, 2.0, 0.2)),
+                       vertices=((-0.5, 0.3), (0.0, 0.6), (0.5, 0.3))), 1.0, True),
+        (geo.CurveSpec(vertices=((-20.0, 1.2), (20.0, 1.1))), 1.0, False),
+        (geo.shift(geo.broken_line(1.0), 0.3), 1.0, False),
+        (geo.to_wiggle_frame(geo.CurveSpec(vertices=((-1.0, 0.8), (1.0, 0.8)))),
+         1.0, False),
+        # even turns with odd curvature: neither symmetry
+        (geo.CurveSpec(segments=((-2.0, 0.0, 0.4), (0.0, 2.0, -0.4)),
+                       vertices=((-1.0, 0.3), (1.0, 0.3))), 1.0, False),
+        (geo.CurveSpec(vertices=((0.0, 0.5),), segments=((-1.0, 0.0, 0.2),)),
+         1.0, False),
+    ], ids=["corner", "corner_beta0", "straight", "zigzag", "s_arcs", "twin",
+            "centred_arc", "mixed", "unequal", "off_centre", "wiggle_frame",
+            "even_turn_odd_curvature", "one_sided_arc"])
+    def test_mirror_symmetric(self, curve, beta, expect):
+        sc = geo.ScaledCurve(curve, beta)
+        assert geo.mirror_symmetric(sc) is expect
+        # oracle: chords are invariant under s -> -s exactly when symmetric
+        s = np.linspace(-25.0, 25.0, 101)
+        pts, mirrored = geo.point(sc, s), geo.point(sc, -s)
+        chords = np.hypot(*(pts[:, None, :] - pts[None, :, :]).T)
+        mirrored_chords = np.hypot(*(mirrored[:, None, :] - mirrored[None, :, :]).T)
+        assert np.allclose(chords, mirrored_chords, rtol=0.0, atol=1e-12) is expect
+
     @pytest.mark.parametrize("query", [
         lambda c, s: geo.point(c, s),
         lambda c, s: geo.tangent_angle(c, s),

@@ -105,8 +105,8 @@ class TestRootFinding:
         real_assemble = spectrum.assemble
         monkeypatch.setattr(
             spectrum, "assemble",
-            lambda curve, kappa, grid:
-                assembled.append(kappa) or real_assemble(curve, kappa, grid))
+            lambda curve, kappa, grid, **kw:
+                assembled.append(kappa) or real_assemble(curve, kappa, grid, **kw))
         brent = {}
         real_brentq = scipy.optimize.brentq
 
@@ -192,6 +192,92 @@ class TestMultiLevel:
         grid = Grid.uniform(120.0, 1000)
         levels = solve_all(sc, 1.0, grid, maxk=1)
         assert len(levels) == 1
+
+
+def on_full_matrix(monkeypatch, solve, *args, **kwargs):
+    """Run a solve with the curve's mirror symmetry hidden, so every level
+    comes from the whole n x n matrix."""
+    with monkeypatch.context() as patch:
+        patch.setattr(geo, "mirror_symmetric", lambda curve: False)
+        return solve(*args, **kwargs)
+
+
+def record_assemblies(monkeypatch):
+    """Wrap spectrum.assemble; returns the list of parities it was asked for."""
+    seen = []
+    real_assemble = spectrum.assemble
+    monkeypatch.setattr(
+        spectrum, "assemble",
+        lambda curve, kappa, grid, parities=None:
+            seen.append(parities) or real_assemble(curve, kappa, grid, parities))
+    return seen
+
+
+class TestMirrorFold:
+    @pytest.mark.parametrize("case", ["corner_odd", "corner_even", "zigzag"])
+    def test_ground_matches_full_path(self, case, broken, zigzag, monkeypatch):
+        curve = geo.ScaledCurve(zigzag if case == "zigzag" else broken, 1.0)
+        grid = Grid.uniform(30.0, 300 if case == "corner_even" else 301)
+        thr = solve_threshold(1.0, grid)
+        seen = record_assemblies(monkeypatch)
+        folded = solve_ground(curve, 1.0, grid, kappa_floor=thr)
+        assert seen and set(seen) == {(1,)}
+        count = len(seen)
+        full = on_full_matrix(monkeypatch, solve_ground, curve, 1.0, grid,
+                              kappa_floor=thr)
+        assert set(seen[count:]) == {None}
+        assert abs(folded.kappa - full.kappa) <= 1e-12
+        assert abs(folded.residual - full.residual) <= 1e-12
+        f, g = folded.eigenfunction, full.eigenfunction
+        assert len(f) == grid.n
+        assert np.max(np.abs(f - np.sign(f @ g) * g)) <= 1e-11 * np.max(np.abs(g))
+        # the ground state is even under s -> -s
+        assert np.array_equal(f[::-1], f)
+
+    @pytest.mark.parametrize("n", [301, 300])
+    def test_threshold_matches_full_path(self, n, monkeypatch):
+        grid = Grid.uniform(30.0, n)
+        seen = record_assemblies(monkeypatch)
+        folded = solve_threshold(1.0, grid)
+        assert set(seen) == {(1,)}
+        full = on_full_matrix(monkeypatch, solve_threshold, 1.0, grid)
+        assert abs(folded - full) <= 1e-12
+
+    def test_twin_levels_match_full_path(self, twin_corners, monkeypatch):
+        sc = geo.ScaledCurve(twin_corners, 1.0)
+        grid = Grid.uniform(60.0, 401)
+        for cluster_tol in (None, 1e-2):
+            folded = solve_all(sc, 1.0, grid, maxk=3, cluster_tol=cluster_tol)
+            full = on_full_matrix(monkeypatch, solve_all, sc, 1.0, grid, maxk=3,
+                                  cluster_tol=cluster_tol)
+            assert len(folded) == len(full) == 2
+            for a, b in zip(folded, full):
+                assert abs(a.kappa - b.kappa) <= 1e-12
+                assert a.near_degenerate == b.near_degenerate == (cluster_tol is not None)
+        # the upper level of the doublet comes from the odd block
+        f1, f2 = folded[0].eigenfunction, folded[1].eigenfunction
+        assert np.array_equal(f1[::-1], f1)
+        assert np.array_equal(f2[::-1], -f2)
+        # level 3 does not bind; at the floor the merged blocks give the
+        # full matrix's top three values
+        solver = spectrum._Solver(sc, 1.0, grid)
+        kappa = solver.kappa_lo()
+        assert solver.g(kappa, 3) < 0.0
+        for j in (1, 2, 3):
+            assert solver.eigen(kappa, j)[0] == pytest.approx(
+                eta(sc, kappa, grid, j), rel=1e-14)
+
+    @pytest.mark.parametrize("case", ["unequal", "off_centre", "wiggle_frame"])
+    def test_asymmetric_curves_take_full_path(self, case, twin_corners, monkeypatch):
+        curve = {
+            "unequal": geo.CurveSpec(vertices=((-2.0, 1.2), (2.0, 1.1))),
+            "off_centre": geo.shift(geo.broken_line(1.5), 0.3),
+            "wiggle_frame": geo.to_wiggle_frame(twin_corners),
+        }[case]
+        seen = record_assemblies(monkeypatch)
+        res = solve_ground(geo.ScaledCurve(curve, 1.0), 1.0, Grid.uniform(30.0, 200))
+        assert isinstance(res, SpectralResult)
+        assert seen and set(seen) == {None}
 
 
 class TestThresholdAnchoring:
