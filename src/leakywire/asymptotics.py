@@ -43,7 +43,6 @@ the quadratic form becomes an m x m matrix whose eigenvalues are the split
 slopes.
 """
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -89,8 +88,9 @@ class AsymptoticCoefficient:
     """Double integral of the weak-bending kernel and derived quantities.
 
     gap_coefficient multiplies beta^4 in the predicted gap.  error_estimate
-    combines the quadrature error indicator with the analytic tail bound for
-    the truncated domain [lo - T, hi + T]^2.
+    combines the cubature error estimate with the analytic tail bound for
+    the truncated domain [lo - T, hi + T]^2.  panels counts the rectangles
+    the cubature ended with.
     """
 
     alpha: float
@@ -101,50 +101,17 @@ class AsymptoticCoefficient:
     panels: int
 
 
-def _panel_value(f, box, gl_hi, gl_lo):
-    """Tensor Gauss value on a box with an embedded lower-order estimate.
-
-    x and y use different node counts so the singular-ish diagonal s = s'
-    is never sampled exactly.
-    """
-    (x0, x1, y0, y1) = box
-    (nx, wx), (ny, wy) = gl_hi
-    (mx, vx), (my, vy) = gl_lo
-    sx = 0.5 * (x1 - x0)
-    sy = 0.5 * (y1 - y0)
-    X = x0 + sx * (nx + 1.0)
-    Y = y0 + sy * (ny + 1.0)
-    F = f(X[:, None], Y[None, :])
-    hi = sx * sy * float(wx @ F @ wy)
-    Xl = x0 + sx * (mx + 1.0)
-    Yl = y0 + sy * (my + 1.0)
-    Fl = f(Xl[:, None], Yl[None, :])
-    lo = sx * sy * float(vx @ Fl @ vy)
-    return hi, abs(hi - lo)
-
-
-def _axis_edges(lo, hi, T, alpha):
-    """Initial panel edges: support breakpoints, unit-scale interior cuts,
-    geometric ladders along the tails out to distance T."""
-    ladder = T * np.geomspace(1.0, 1.0 / 64.0, 8)
-    inner = [lo]
-    if hi > lo:
-        pieces = max(2, int(math.ceil((hi - lo) * alpha)))
-        inner = list(np.linspace(lo, hi, pieces + 1))
-    edges = np.concatenate([lo - ladder, inner, hi + ladder[::-1]])
-    return np.unique(edges)
-
-
-def a_coefficient(curve, alpha, rel_tol=1e-5, max_panels=20000):
+def a_coefficient(curve, alpha, rel_tol=1e-5):
     """Adaptive double integral of the weak-bending kernel.
 
-    Panels aligned with the curve breakpoints; 16x15 / 8x7 embedded Gauss
-    pairs drive refinement of the worst panel until the accumulated error
-    indicator falls below rel_tol times the running integral.  Panels lying
-    entirely in a same-side tail region are dropped (the kernel vanishes
-    there).  The tail cut T comes from the decay bound C (r) e^{-alpha r/2},
-    r = |s| + |s'|, with C estimated from kernel samples on a mid-distance
-    ring; the bound at T is folded into error_estimate.
+    One scipy.integrate.cubature call (tensor 21-point Gauss-Kronrod) over
+    [lo - T, hi + T]^2, split first at every pair of support ends and
+    breakpoints so that no rule straddles a kink of the kernel, refined until
+    its error estimate falls below rel_tol times the integral.  The tail cut
+    T comes from the decay bound C (r) e^{-alpha r/2}, r = |s| + |s'|, with C
+    estimated from kernel samples on a mid-distance ring; the bound at T is
+    added to the cubature error in error_estimate.  Raises NumericalError
+    when the cubature does not converge.
     """
     if isinstance(curve, geometry.ScaledCurve):
         raise ValueError("a_coefficient expects the unscaled CurveSpec")
@@ -179,52 +146,20 @@ def a_coefficient(curve, alpha, rel_tol=1e-5, max_panels=20000):
             T += 2.0 / alpha
     tail_bound = c_est * (2.0 + alpha * T) * T * math.exp(-0.5 * alpha * T) * (4.0 / alpha**2)
 
-    gl_hi = (np.polynomial.legendre.leggauss(16), np.polynomial.legendre.leggauss(15))
-    gl_lo = (np.polynomial.legendre.leggauss(8), np.polynomial.legendre.leggauss(7))
+    pts = np.unique(np.concatenate([[lo, hi], geometry.breaks(curve)]))
+    res = scipy.integrate.cubature(
+        lambda x: f(x[:, 0], x[:, 1]), [lo - T, lo - T], [hi + T, hi + T],
+        rule="gk21", rtol=rel_tol,
+        points=[np.array([p, q]) for p in pts for q in pts])
+    if res.status != "converged":
+        raise NumericalError(f"cubature did not converge: error {float(res.error):.2e} "
+                             f"(integral {float(res.estimate):.6e})")
 
-    edges = _axis_edges(lo, hi, T, alpha)
-    heap = []
-    total = 0.0
-    err_total = 0.0
-    count = 0
-
-    def dead(x0, x1, y0, y1):
-        # kernel vanishes when both arguments sit on one straight tail
-        return (x0 >= hi and y0 >= hi) or (x1 <= lo and y1 <= lo)
-
-    def push(box):
-        nonlocal total, err_total, count
-        if dead(*box):
-            return
-        val, err = _panel_value(f, box, gl_hi, gl_lo)
-        total += val
-        err_total += err
-        count += 1
-        heapq.heappush(heap, (-err, box, val, err))
-
-    for i in range(len(edges) - 1):
-        for j in range(len(edges) - 1):
-            push((edges[i], edges[i + 1], edges[j], edges[j + 1]))
-
-    while heap and err_total > rel_tol * max(abs(total), 1e-300):
-        if count >= max_panels:
-            raise NumericalError(
-                f"panel budget {max_panels} exhausted at error {err_total:.2e} "
-                f"(integral {total:.6e})")
-        _, (x0, x1, y0, y1), val, err = heapq.heappop(heap)
-        total -= val
-        err_total -= err
-        xm = 0.5 * (x0 + x1)
-        ym = 0.5 * (y0 + y1)
-        for box in ((x0, xm, y0, ym), (x0, xm, ym, y1),
-                    (xm, x1, y0, ym), (xm, x1, ym, y1)):
-            push(box)
-
-    integral = float(total)
-    err = float(err_total + tail_bound)
+    integral = float(res.estimate)
     return AsymptoticCoefficient(alpha=float(alpha), integral=integral,
                                  gap_coefficient=integral * integral,
-                                 error_estimate=err, tail_cut=float(T), panels=count)
+                                 error_estimate=float(res.error) + tail_bound,
+                                 tail_cut=float(T), panels=len(res.regions))
 
 
 def predicted_gap(coefficient, beta):
@@ -289,7 +224,8 @@ def wiggle_slope(curve, alpha, cluster, grid):
     """First-order eigenvalue slopes d lambda / d phi for a cluster of levels.
 
     cluster is one SpectralResult or a list of near-degenerate ones computed
-    on this same grid for the scaled curve at beta = 1.
+    on this same grid for the scaled curve at beta = 1; the curve must be in
+    the wiggle frame, as for wiggle_kernel.
 
     Differentiating alpha eta(kappa, phi) = 1 gives
         d lambda / d phi = -(f, dQ/dphi f) / ||psi||^2,
@@ -311,31 +247,24 @@ def wiggle_slope(curve, alpha, cluster, grid):
 
     nu = float(np.mean([r.kappa for r in results]))
     nodes = grid.nodes
-    S = nodes[:, None]
-    S2 = nodes[None, :]
-    region1 = (S <= 0.0) & (S2 > 0.0)
-    region2 = (S2 <= 0.0) & (S > 0.0)
-    active = region1 | region2
+    vecs = np.column_stack([r.eigenfunction for r in results]) * math.sqrt(grid.h)
 
-    rho = pairwise_distances(curve, nodes)
-    rho_safe = np.where(rho > 0.0, rho, 1.0)
-    heights = geometry.tail_frame_height(curve, nodes)
-    hmat = np.where(region2, heights[None, :], heights[:, None])
-    omat = np.where(region2, S, S2) * 1.0
-    pref = alpha * nu / (2.0 * math.pi)
-    dmat = np.where(active, pref * bessel_k1(nu * rho_safe) * omat * hmat / rho_safe, 0.0)
-
-    dmat *= grid.h
-    dmat = 0.5 * (dmat + dmat.T)
+    # D1 couples only the two sides of the pivot: the left x right block and
+    # its transpose carry the whole form
+    left = nodes <= 0.0
+    block = wiggle_kernel(curve, alpha, nu, nodes[left][:, None],
+                          nodes[~left][None, :]) * grid.h
+    cross = vecs[left].T @ block @ vecs[~left]
+    form = cross + cross.T
 
     # norm kernel of the generated plane eigenfunction (squared resolvent)
+    rho = pairwise_distances(curve, nodes)
+    rho_safe = np.where(rho > 0.0, rho, 1.0)
     bmat = rho / (4.0 * math.pi * nu) * bessel_k1(nu * rho_safe)
     np.fill_diagonal(bmat, 1.0 / (4.0 * math.pi * nu * nu))
     bmat *= grid.h
 
-    vecs = np.column_stack([r.eigenfunction for r in results]) * math.sqrt(grid.h)
-    form = vecs.T @ dmat @ vecs
     norm = vecs.T @ bmat @ vecs
-    slopes = scipy.linalg.eigh(-0.5 * (form + form.T) / alpha,
-                               0.5 * (norm + norm.T), eigvals_only=True)
+    slopes = scipy.linalg.eigh(-form / alpha, 0.5 * (norm + norm.T),
+                               eigvals_only=True)
     return np.asarray(slopes)

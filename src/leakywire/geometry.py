@@ -72,6 +72,11 @@ __all__ = [
 # below this the arc radius exceeds ~1e14 and the segment is numerically straight
 _STRAIGHT_EPS = 1e-14
 
+# validate(): uniform samples over the support plus tails, and the rounds of
+# coordinate-wise golden-section polish given to each of the worst pairs
+_N_INNER = 240
+_REFINE_ROUNDS = 3
+
 
 class CurveFormatError(ValueError):
     """Raised when curve JSON does not match the documented schema."""
@@ -411,7 +416,7 @@ def _golden(f, a, b, iters=40):
     return (x1, f1) if f1 <= f2 else (x2, f2)
 
 
-def validate(curve, beta=1.0, floor=1e-3, n_inner=240, refine_rounds=3):
+def validate(curve, beta=1.0, floor=1e-3):
     """Estimate the chord constant inf |gamma(s)-gamma(s')| / |s-s'| at the
     given scaling and compare with the floor.
 
@@ -427,7 +432,7 @@ def validate(curve, beta=1.0, floor=1e-3, n_inner=240, refine_rounds=3):
     lo, hi = sc.base.support
     span = max(hi - lo, 1.0)
 
-    inner = np.linspace(lo - 2.0 * span, hi + 2.0 * span, n_inner)
+    inner = np.linspace(lo - 2.0 * span, hi + 2.0 * span, _N_INNER)
     ladder = span * np.geomspace(4.0, 1000.0, 12)
     samples = np.unique(np.concatenate([inner, lo - ladder, hi + ladder]))
 
@@ -450,7 +455,7 @@ def validate(curve, beta=1.0, floor=1e-3, n_inner=240, refine_rounds=3):
             break
         si, sj = float(samples[i]), float(samples[j])
         gap_i = max(abs(si) * 0.5, span / 4.0)
-        for _ in range(refine_rounds):
+        for _ in range(_REFINE_ROUNDS):
             si, _ = _golden(lambda x: _chord_ratio(sc, x, sj), si - gap_i, si + gap_i)
             sj, _ = _golden(lambda x: _chord_ratio(sc, si, x), sj - gap_i, sj + gap_i)
         val = _chord_ratio(sc, si, sj)

@@ -379,8 +379,9 @@ def sweep_phi(config):
     """Eigenvalues of the wiggled curve versus pivot angle phi.
 
     The base curve is moved to the wiggle frame, solved once per level, and
-    each phi gets its own solve on the same grid; per-level linear fits are
-    compared against the first-order slope prediction.
+    each nonzero phi gets its own solve on the same grid (phi = 0 reuses the
+    base levels); per-level linear fits are compared against the first-order
+    slope prediction.
     """
     alpha = config.alpha
     base = geometry.to_wiggle_frame(config.curve)
@@ -410,10 +411,13 @@ def sweep_phi(config):
 
     rows = []
     for phi in config.phi_list:
-        wig = geometry.with_wiggle(base, phi)
-        res = solve_all(geometry.ScaledCurve(wig, 1.0), alpha, grid,
-                        maxk=len(levels), tol=config.tol_or_none(),
-                        kappa_floor=thr)
+        # with_wiggle(base, 0.0) is base, already solved as `levels`
+        res = levels
+        if phi != 0.0:
+            wig = geometry.with_wiggle(base, phi)
+            res = solve_all(geometry.ScaledCurve(wig, 1.0), alpha, grid,
+                            maxk=len(levels), tol=config.tol_or_none(),
+                            kappa_floor=thr)
         for r in res:
             rows.append({"phi": phi, "level": r.level, "lambda": r.eigenvalue,
                          "kappa": r.kappa, "residual": r.residual})

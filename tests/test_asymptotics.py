@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from leakywire import geometry as geo
 from leakywire.asymptotics import (
@@ -24,7 +25,7 @@ from leakywire.asymptotics import (
 )
 from leakywire.bs_core import Grid, assemble, pairwise_distances, q_kernel
 from leakywire.specfun import bessel_k1
-from leakywire.spectrum import solve_ground, solve_threshold
+from leakywire.spectrum import solve_all, solve_ground, solve_threshold
 
 SINGLE_CORNER_INTEGRAL = 1.0 / (6.0 * math.pi)
 
@@ -89,6 +90,30 @@ class TestCoefficient:
         with pytest.raises(ValueError):
             a_coefficient(geo.ScaledCurve(broken, 0.5), 1.0)
 
+    def test_twin_corners_add(self):
+        # corners 24 apart interact only through e^{-12}-small cross terms,
+        # so the integral is the sum of two single-corner closed forms
+        twin = geo.CurveSpec(vertices=(geo.Vertex(-12.0, 1.2), geo.Vertex(12.0, 1.2)))
+        got = a_coefficient(twin, 1.0, rel_tol=1e-6)
+        exact = 2.0 * 1.2 ** 2 * SINGLE_CORNER_INTEGRAL
+        assert got.integral == pytest.approx(exact, rel=1e-5)
+        assert abs(got.integral - exact) < 10.0 * got.error_estimate
+        # split at the corners, no rule straddles a kink of the kernel; a
+        # cubature left to find them ends with about 2500 rectangles here
+        assert a_coefficient(twin, 1.0).panels < 500
+
+    @pytest.mark.parametrize("curve, reference", [
+        # references from an independent adaptive tensor Gauss cubature
+        # (16x15 / 8x7 point pairs per rectangle) at rel_tol 1e-5
+        (geo.CurveSpec(vertices=(geo.Vertex(-1.0, 0.5), geo.Vertex(1.0, -0.5))),
+         0.021666849334881912),
+        (geo.CurveSpec(segments=(geo.CurvatureSegment(-1.5, 1.5, 0.4),)),
+         0.036432497843351744),
+    ], ids=["zigzag", "arc"])
+    def test_matches_reference(self, curve, reference):
+        got = a_coefficient(curve, 1.0)
+        assert got.integral == pytest.approx(reference, rel=1e-5)
+
     def test_predictions(self, coef):
         beta = 0.7
         gap = predicted_gap(coef, beta)
@@ -150,7 +175,39 @@ def wiggle_setup(zigzag):
     return frame, grid, thr, ground
 
 
+def dense_slopes(frame, alpha, cluster, grid):
+    """Slopes from the n x n D1 matrix of wiggle_kernel on all node pairs."""
+    nu = float(np.mean([r.kappa for r in cluster]))
+    nodes, h = grid.nodes, grid.h
+    dmat = wiggle_kernel(frame, alpha, nu, nodes[:, None], nodes[None, :]) * h
+    rho = pairwise_distances(frame, nodes)
+    safe = np.where(rho > 0, rho, 1.0)
+    bmat = safe / (4 * math.pi * nu) * bessel_k1(nu * safe)
+    np.fill_diagonal(bmat, 1.0 / (4 * math.pi * nu ** 2))
+    vecs = np.column_stack([r.eigenfunction for r in cluster])
+    form = vecs.T @ dmat @ vecs * h
+    norm = vecs.T @ (bmat * h) @ vecs * h
+    return scipy.linalg.eigh(-0.5 * (form + form.T) / alpha,
+                             0.5 * (norm + norm.T), eigvals_only=True)
+
+
 class TestWiggleSlope:
+    def test_matches_dense_reference(self, wiggle_setup, twin_corners):
+        frame, grid, thr, ground = wiggle_setup
+        np.testing.assert_allclose(wiggle_slope(frame, 1.0, ground, grid),
+                                   dense_slopes(frame, 1.0, [ground], grid),
+                                   rtol=1e-12)
+        # a two-level cluster; its small split slope is a near-cancellation,
+        # so the tolerance scales with the larger one
+        twin = geo.to_wiggle_frame(twin_corners)
+        grid = Grid.uniform(70.0, 391)
+        levels = solve_all(geo.ScaledCurve(twin, 1.0), 1.0, grid, maxk=2,
+                           kappa_floor=solve_threshold(1.0, grid))
+        assert len(levels) == 2
+        got = wiggle_slope(twin, 1.0, levels, grid)
+        ref = dense_slopes(twin, 1.0, levels, grid)
+        np.testing.assert_allclose(got, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
+
     def test_norm_kernel_identity(self, wiggle_setup):
         # entrywise: d/dkappa of the assembled matrix equals -2 kappa B with
         # B the squared-resolvent kernel (rho / 4 pi kappa) K1(kappa rho)

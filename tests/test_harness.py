@@ -257,6 +257,24 @@ class TestSweepPhi:
         fd = (lam[0.04] - lam[-0.04]) / 0.08
         assert slope_info["slope_fitted"] == pytest.approx(fd, rel=1e-6)
 
+    def test_zero_angle_reuses_levels(self, zigzag, monkeypatch):
+        # phi = 0 is the unperturbed curve: its rows are the base levels,
+        # not a second solve of the same curve on the same grid
+        calls = []
+        real = harness.solve_all
+
+        def counting(curve, *args, **kw):
+            calls.append(curve)
+            return real(curve, *args, **kw)
+
+        monkeypatch.setattr(harness, "solve_all", counting)
+        cfg = make_config(zigzag, phi_list=(-0.04, 0.0, 0.04), n=240, L=30.0,
+                          maxk=1, tol=1e-9)
+        rep = sweep_phi(cfg)
+        assert len(calls) == 3
+        row = next(r for r in rep.rows if r["phi"] == 0.0)
+        assert row["lambda"] == rep.extras["levels"][0]
+
 
 class TestConvergence:
     def test_grid_ladder(self, broken):
