@@ -212,7 +212,9 @@ def wiggle_kernel(curve, alpha, kappa, s, s2):
 
     rho = geometry.distance(curve, s, s2)
     rho_safe = np.where(rho > 0.0, rho, 1.0)
-    height = geometry.tail_frame_height(curve, np.where(region2, s2, s))
+    # heights on each argument's own shape, not on the broadcast pair
+    height = np.where(region2, geometry.tail_frame_height(curve, s2),
+                      geometry.tail_frame_height(curve, s))
     outer = np.where(region2, s, s2)
     pref = alpha * kappa / (2.0 * math.pi)
     vals = pref * bessel_k1(kappa * rho_safe) * outer * height / rho_safe

@@ -31,6 +31,9 @@ runs is evaluated once from the chords of its node points and mirrored, so
 M is exactly symmetric.  The straight line is a single run: n K0 values
 instead of n^2.  A single corner needs fresh values only on the cross
 block, about n^2/4 entries.  assemble returns M as a plain ndarray.
+slope_form walks the same runs and blocks with K1 in place of K0 to give
+the quadratic form of dM/dkappa, the exact slope of an eigenvalue, without
+building that matrix.
 
 A curve that s -> -s maps onto itself (geometry.mirror_symmetric: the unit
 corner, the straight line, a zigzag about 0) has, on the midpoint grid, a
@@ -57,7 +60,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 import scipy.special
 
-from .specfun import bessel_k0
+from .specfun import bessel_k0, bessel_k1
 from . import geometry
 
 __all__ = [
@@ -67,6 +70,7 @@ __all__ = [
     "diag_correction",
     "pairwise_distances",
     "q_kernel",
+    "slope_form",
     "top_eigenpairs",
     "unfold",
 ]
@@ -76,6 +80,8 @@ __all__ = [
 # dense subset solve wins when two sweep threads share the cores
 DENSE_CUTOFF = 500
 _RESIDUAL_FACTOR = 1e-10
+# entries per row chunk of a cross block in slope_form (512 kB of float64)
+_CHUNK_ENTRIES = 1 << 16
 
 
 class EigensolverError(RuntimeError):
@@ -271,6 +277,56 @@ def unfold(vec, n, parity):
     if n > 2 * m:
         out[m] = vec[m] if parity > 0 else 0.0
     return out
+
+
+def slope_form(curve, kappa, grid, vecs):
+    """m x m matrix V^T (dM/dkappa) V for node vectors V of shape (n, m).
+
+    For a unit eigenvector v of M this is d eta / d kappa (Hellmann-Feynman).
+    Off the diagonal dM/dkappa = -(h/2pi) rho K1(kappa rho); on it the
+    derivative of the cell average,
+
+        h K0(z) / (2pi kappa) - h diag_correction(kappa, h) / kappa,   z = kappa h/2.
+
+    The walk is assemble's: each Toeplitz run needs one row of K1 values,
+    applied through np.correlate of the run's vectors, and each block
+    between a run and all later nodes is evaluated in row chunks of at
+    most _CHUNK_ENTRIES entries.  No n x n array is made.
+    """
+    if kappa <= 0 or not math.isfinite(kappa):
+        raise ValueError("kappa must be positive and finite")
+    vecs = np.asarray(vecs, dtype=float)
+    if vecs.ndim != 2 or vecs.shape[0] != grid.n:
+        raise ValueError(f"vecs must have shape ({grid.n}, m), got {vecs.shape}")
+    n, m = vecs.shape
+    h = grid.h
+    pts = geometry.point(curve, grid.nodes)
+    diag = h * (bessel_k0(0.5 * kappa * h) / (2.0 * math.pi)
+                - diag_correction(kappa, h)) / kappa
+    form = diag * (vecs.T @ vecs)
+    off = np.zeros((m, m))  # the off-diagonal form, without -h/2pi
+    for start, stop in _runs(curve, grid):
+        run = vecs[start:stop]
+        if stop - start > 1:
+            rho = np.hypot(*(pts[start + 1:stop] - pts[start]).T)
+            row = rho * bessel_k1(kappa * rho)
+            # weights by lag -(len - 1) .. len - 1, as np.correlate orders them
+            lags = np.concatenate((row[::-1], [0.0], row))
+            for p in range(m):
+                for q in range(p, m):
+                    off[p, q] += lags @ np.correlate(run[:, q], run[:, p], "full")
+                    off[q, p] = off[p, q]
+        if stop == n:
+            continue
+        chunk = max(1, _CHUNK_ENTRIES // (n - stop))
+        for lo in range(start, stop, chunk):
+            hi = min(lo + chunk, stop)
+            rho = _chords(pts[lo:hi], pts[stop:])
+            block = bessel_k1(kappa * rho)
+            block *= rho
+            part = vecs[lo:hi].T @ block @ vecs[stop:]
+            off += part + part.T
+    return form - (h / (2.0 * math.pi)) * off
 
 
 def _dense_top(matrix, m):

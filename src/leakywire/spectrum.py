@@ -7,15 +7,20 @@ eta_j(kappa) is strictly decreasing in kappa (the kappa-derivative of the
 kernel matrix is negative definite: it is built from the function
 |z| K1(kappa |z|), whose 2-d Fourier transform is positive), so every level
 is the single root of g_j(kappa) = alpha * eta_j(kappa) - 1 over
-(alpha/2, kappa_hi], found by Brent's method (scipy.optimize.brentq) once a
-sign change is bracketed.
+(alpha/2, kappa_hi].  It is found by safeguarded Newton steps (Ruhe, SIAM J.
+Numer. Anal. 10, 1973) from the exact slope g_j' = alpha v^T (dM/dkappa) v
+of the unit eigenvector v (Hellmann-Feynman, bs_core.slope_form), starting
+at the search floor.  The last correction |g/g'| is returned with each root
+as its error bar.
 
 No bound state is an outcome, not an error: when g_1 is already negative just
 above threshold the grid resolves nothing below the essential spectrum and
 solve_ground returns a NoBoundState value.  The straight line always takes
 that path.
 
-Each (kappa, level) pair is assembled and solved at most once per solve.
+Each (kappa, level) pair is assembled and solved at most once per solve,
+and its slope is computed only when a Newton step needs it, after the
+eigensolve has freed the matrix.
 Every step rebuilds the matrix; bs_core.assemble keeps that cheap by
 evaluating K0 only on the entries the curve's pieces do not repeat.  A
 mirror-symmetric curve (geometry.mirror_symmetric, read from its piece
@@ -29,10 +34,9 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-import scipy.optimize
 
 from . import geometry
-from .bs_core import Grid, assemble, top_eigenpairs, unfold
+from .bs_core import Grid, assemble, slope_form, top_eigenpairs, unfold
 
 __all__ = [
     "NoBoundState",
@@ -46,11 +50,12 @@ __all__ = [
 
 _KAPPA_LO_SHIFT = 1e-12
 _HI_CAP_FACTOR = 64.0
+_MAX_STEPS = 100
 DEFAULT_CLUSTER_TOL = 1e-8
 
 
 class NumericalError(RuntimeError):
-    """Root bracketing or refinement failed to converge."""
+    """Root finding found no sign change or failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -74,7 +79,9 @@ class SpectralResult:
     """One discrete eigenvalue lambda = -kappa^2 with its kernel eigenfunction.
 
     eigenfunction holds node values normalized to 1 in the grid norm
-    h sum f_i^2.  residual is |alpha * eta - 1| at the returned kappa.
+    h sum f_i^2.  residual is |alpha * eta - 1| at the returned kappa, and
+    kappa_error the last Newton correction |g/g'| there, an error bar on
+    kappa against the grid's root.
     near_degenerate marks membership in a cluster of levels closer than the
     clustering tolerance.
     """
@@ -83,6 +90,7 @@ class SpectralResult:
     eigenvalue: float
     delta: float
     residual: float
+    kappa_error: float
     level: int
     grid: Grid
     curve_digest: str
@@ -90,48 +98,62 @@ class SpectralResult:
     near_degenerate: bool = False
 
     def to_dict(self):
-        """JSON form: {kappa, lambda, delta, residual, grid: {L, n}, curve_hash}."""
+        """JSON form: {kappa, lambda, delta, residual, kappa_error,
+        grid: {L, n}, curve_hash}."""
         return {
             "kappa": self.kappa,
             "lambda": self.eigenvalue,
             "delta": self.delta,
             "residual": self.residual,
+            "kappa_error": self.kappa_error,
             "grid": {"L": self.grid.L, "n": self.grid.n},
             "curve_hash": self.curve_digest,
         }
 
 
-def _find_root(g, lo, hi, tol):
-    """Root of g on a sign-changing bracket, g(lo) > 0 > g(hi), by Brent's
-    method; the returned point was evaluated and lies within tol/2 of the
-    root."""
-    kappa, info = scipy.optimize.brentq(g, lo, hi, xtol=0.5 * tol,
-                                        full_output=True, disp=False)
-    if not info.converged:
-        raise NumericalError(
-            f"root finding on [{lo:.10g}, {hi:.10g}] did not converge: {info.flag}")
-    return kappa
+def _newton(g, slope, x, lo, hi, tol):
+    """Root of the decreasing function g inside [lo, hi] by safeguarded
+    Newton steps from x; returns the last evaluated kappa and |g/g'| there,
+    once that correction is below tol/2, or the width of the closed bracket
+    if that fell below tol/2 first.
 
-
-def _bracket_end(g, x, step, growth, limit):
-    """First of the probes x, x + step, x + step + growth * step, ... at
-    which g has the sign of a bracket end on that side: g < 0 stepping up,
-    g > 0 stepping down (g decreases in kappa).  A probe past limit raises
-    NumericalError instead of being evaluated."""
-    start = x
-    while g(x) * step >= 0.0:
-        x += step
-        step *= growth
-        if (x - limit) * step > 0.0:
-            raise NumericalError(
-                f"no sign change between kappa = {start:.6g} and {limit:.6g}")
-    return x
+    The bracket moves to each evaluated point, onto the side its sign puts
+    it; a step that leaves the bracket bisects it instead.  An end never
+    evaluated is only assumed to have its side's sign: when the bracket
+    closes onto one, g has no sign change inside and NumericalError is
+    raised.  The correction is the distance to the root to first order.
+    For a convex g, as g_1 is, it bounds that distance from above the root
+    and falls short of it by a relative O(correction) from below.
+    """
+    ends, seen = [lo, hi], [False, False]
+    for _ in range(_MAX_STEPS):
+        gx = g(x)
+        if gx == 0.0:
+            return x, 0.0
+        side = 0 if gx > 0.0 else 1
+        ends[side], seen[side] = x, True
+        dg = slope(x)
+        correction = -gx / dg if dg < 0.0 else math.inf
+        if abs(correction) < 0.5 * tol:
+            return x, abs(correction)
+        if ends[1] - ends[0] < 0.5 * tol:
+            if not all(seen):
+                raise NumericalError(
+                    f"no sign change between kappa = {lo:.6g} and {hi:.6g}")
+            return x, ends[1] - ends[0]
+        x += correction
+        if not ends[0] < x < ends[1]:
+            x = 0.5 * (ends[0] + ends[1])
+    raise NumericalError(
+        f"Newton iteration on [{lo:.10g}, {hi:.10g}] did not converge "
+        f"in {_MAX_STEPS} steps")
 
 
 class _Solver:
     """Shared state for root finding: one assembly and eigensolve per
-    (kappa, level), remembered for the rest of the solve, and the last
-    eigenvector of each block and level as the next ARPACK start vector.
+    (kappa, level), remembered for the rest of the solve, its slope
+    computed only when a Newton step asks for it, and the last eigenvector
+    of each block and level as the next ARPACK start vector.
 
     A geometry.mirror_symmetric curve is solved on the even and odd blocks
     of its matrix (bs_core.assemble with parities).  The ground state is the
@@ -154,6 +176,7 @@ class _Solver:
         self.mirror = geometry.mirror_symmetric(curve)
         self._warm = {}
         self._pairs = {}
+        self._slopes = {}
 
     def eigen(self, kappa, j):
         key = (float(kappa), j)
@@ -179,23 +202,31 @@ class _Solver:
         val, _ = self.eigen(kappa, j)
         return self.alpha * val - 1.0
 
+    def slope(self, kappa, j):
+        """g_j'(kappa) = alpha v^T (dM/dkappa) v from the unit eigenvector
+        of eigen(kappa, j) (Hellmann-Feynman), once per (kappa, level)."""
+        key = (float(kappa), j)
+        if key not in self._slopes:
+            _, vec = self.eigen(kappa, j)
+            form = slope_form(self.curve, kappa, self.grid, vec[:, None])
+            self._slopes[key] = self.alpha * float(form[0, 0])
+        return self._slopes[key]
+
     def kappa_lo(self):
         return self.floor * (1.0 + _KAPPA_LO_SHIFT)
 
-    def root(self, j, tol):
-        """Level j's kappa; g_j(kappa_lo()) > 0 must already hold.  The
-        upper bracket end doubles its offset above the search floor from
-        a bending-based first guess."""
-        def g(kappa):
-            return self.g(kappa, j)
+    def root(self, j, tol, start, lo, hi):
+        """Level j's kappa and its error bar by _newton from start."""
+        return _newton(lambda kappa: self.g(kappa, j),
+                       lambda kappa: self.slope(kappa, j), start, lo, hi, tol)
 
-        phi = abs(geometry.total_bending(self.curve))
-        offset = max(phi * phi, 1e-2) * self.alpha
-        hi = _bracket_end(g, self.floor + offset, offset, 2.0,
-                          self.floor + _HI_CAP_FACTOR * self.alpha)
-        return _find_root(g, self.kappa_lo(), hi, tol)
-
-    def result(self, kappa, j):
+    def level(self, j, tol):
+        """Level j's SpectralResult; g_j(kappa_lo()) > 0 must already hold.
+        Newton steps start at kappa_lo(), which brackets the root from
+        below, and stop at the floor plus 64 alpha."""
+        lo = self.kappa_lo()
+        kappa, error = self.root(j, tol, lo, lo,
+                                 self.floor + _HI_CAP_FACTOR * self.alpha)
         val, vec = self.eigen(kappa, j)
         residual = abs(self.alpha * val - 1.0)
         f = vec / math.sqrt(self.grid.h)
@@ -205,6 +236,7 @@ class _Solver:
             eigenvalue=-(kappa * kappa),
             delta=math.sqrt(max(delta_sq, 0.0)),
             residual=float(residual),
+            kappa_error=float(error),
             level=j,
             grid=self.grid,
             curve_digest=geometry.curve_digest(self.curve),
@@ -231,8 +263,9 @@ def solve_ground(curve, alpha, grid, tol=None, kappa_floor=None):
     """Ground state below the essential spectrum, or NoBoundState.
 
     Root of g(kappa) = alpha * eta_1(kappa) - 1 above the search floor;
-    the returned kappa is within tol/2 of the grid's root (tol defaults to
-    1e-8 alpha).
+    the returned kappa is within tol/2 of the grid's root to first order
+    in tol (tol defaults to 1e-8 alpha), and kappa_error estimates the
+    distance.
 
     kappa_floor defaults to the nominal threshold alpha/2.  On a finite grid
     the effective threshold sits below alpha/2 (truncation and quadrature
@@ -246,8 +279,7 @@ def solve_ground(curve, alpha, grid, tol=None, kappa_floor=None):
     margin = solver.g(solver.kappa_lo(), 1)
     if margin <= 0.0:
         return NoBoundState(alpha=solver.alpha, level=1, margin=margin, grid=grid)
-    kappa = solver.root(1, tol)
-    return solver.result(kappa, 1)
+    return solver.level(1, tol)
 
 
 def solve_all(curve, alpha, grid, maxk=8, tol=None, cluster_tol=None,
@@ -272,8 +304,7 @@ def solve_all(curve, alpha, grid, maxk=8, tol=None, cluster_tol=None,
     for j in range(1, int(maxk) + 1):
         if solver.g(solver.kappa_lo(), j) <= 0.0:
             break
-        kappa = solver.root(j, tol)
-        results.append(solver.result(kappa, j))
+        results.append(solver.level(j, tol))
 
     flagged = list(results)
     for i in range(len(results) - 1):
@@ -290,16 +321,12 @@ def solve_threshold(alpha, grid, tol=None):
     slightly off alpha/2; solving it on the same grid as a bent-curve run
     gives the reference that cancels the leading truncation and quadrature
     bias when gaps are formed as kappa*^2 - kappa_thr^2.  The returned
-    kappa is within tol/2 of that root.
+    kappa is within tol/2 of that root to first order in tol.
     """
     straight = geometry.ScaledCurve(geometry.CurveSpec(), 0.0)
     solver = _Solver(straight, alpha, grid)
     tol = _default_tol(solver.alpha, tol)
 
-    def g(kappa):
-        return solver.g(kappa, 1)
-
-    # lo probes 0.35 alpha * 0.7^k, hi probes 0.5 alpha + 0.01 alpha (2^k - 1)
-    lo = _bracket_end(g, 0.35 * alpha, -0.105 * alpha, 0.7, 0.02 * alpha)
-    hi = _bracket_end(g, 0.5 * alpha, 0.01 * alpha, 2.0, 2.0 * alpha)
-    return _find_root(g, lo, hi, tol)
+    kappa, _ = solver.root(1, tol, 0.5 * solver.alpha, 0.02 * solver.alpha,
+                           2.0 * solver.alpha)
+    return kappa

@@ -25,6 +25,7 @@ from leakywire.bs_core import (
     diag_correction,
     pairwise_distances,
     q_kernel,
+    slope_form,
     top_eigenpairs,
     unfold,
 )
@@ -282,6 +283,64 @@ class TestFold:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * 8 * n * n
+
+
+class TestSlopeForm:
+    @pytest.mark.parametrize("case", ["corner_odd", "corner_even", "zigzag",
+                                      "twin", "straight"])
+    def test_matches_central_difference(self, case, broken, zigzag,
+                                        twin_corners, rng):
+        curve, grid, m = {
+            "corner_odd": (geo.ScaledCurve(broken, 1.0), Grid.uniform(20.0, 201), 1),
+            "corner_even": (geo.ScaledCurve(broken, 1.0), Grid.uniform(20.0, 200), 1),
+            "zigzag": (geo.ScaledCurve(zigzag, 1.0), Grid.uniform(20.0, 200), 1),
+            "twin": (geo.ScaledCurve(twin_corners, 1.0), Grid.uniform(40.0, 300), 2),
+            "straight": (geo.ScaledCurve(geo.CurveSpec(), 0.0), Grid.uniform(20.0, 200), 1),
+        }[case]
+        kappa, eps = 0.55, 1e-5
+        vecs = rng.standard_normal((grid.n, m))
+        diff = assemble(curve, kappa + eps, grid) - assemble(curve, kappa - eps, grid)
+        fd = vecs.T @ (diff / (2.0 * eps)) @ vecs
+        form = slope_form(curve, kappa, grid, vecs)
+        assert form.shape == (m, m)
+        assert np.array_equal(form, form.T)
+        # central differences carry an O(eps^2) error of about 1e-10 here
+        assert np.max(np.abs(form - fd)) <= 1e-9 * np.max(np.abs(fd))
+
+    def test_eigenvalue_slope_negative(self, broken):
+        # Hellmann-Feynman: for the unit top eigenvector the form is
+        # d eta / d kappa, negative since eta decreases in kappa
+        sc = geo.ScaledCurve(broken, 1.0)
+        grid = Grid.uniform(20.0, 200)
+        _, vecs = top_eigenpairs(assemble(sc, 0.55, grid), 1)
+        eps = 1e-5
+        fd = (top_eigenpairs(assemble(sc, 0.55 + eps, grid), 1)[0][0]
+              - top_eigenpairs(assemble(sc, 0.55 - eps, grid), 1)[0][0]) / (2 * eps)
+        slope = slope_form(sc, 0.55, grid, vecs)[0, 0]
+        assert slope < 0.0
+        assert slope == pytest.approx(fd, rel=1e-8)
+
+    def test_bad_input(self, broken):
+        sc = geo.ScaledCurve(broken, 1.0)
+        grid = Grid.uniform(5.0, 10)
+        with pytest.raises(ValueError):
+            slope_form(sc, 0.0, grid, np.ones((10, 1)))
+        with pytest.raises(ValueError):
+            slope_form(sc, 0.5, grid, np.ones(10))
+
+    def test_peak_memory(self, broken):
+        # cross blocks in row chunks: far below one n x n matrix
+        n = 1200
+        sc = geo.ScaledCurve(broken, 1.0)
+        grid = Grid.uniform(75.0, n)
+        vecs = np.ones((n, 1)) / math.sqrt(n)
+        tracemalloc.start()
+        try:
+            slope_form(sc, 0.5, grid, vecs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.25 * 8 * n * n
 
 
 def dense_reference(curve, kappa, grid):

@@ -85,6 +85,8 @@ class TestSolve:
         assert level["kappa"] > data["kappa_threshold"]
         assert level["gap_corrected"] > 0.0
         assert level["residual"] < 1e-6
+        # the root's error bar, below half the default tolerance 1e-8 alpha
+        assert 0.0 <= level["kappa_error"] < 0.5e-8
         # --json mirrors stdout into the file
         assert json.loads(out.read_text()) == data
 

@@ -9,7 +9,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.optimize
 
 from leakywire import geometry as geo
 from leakywire import spectrum
@@ -83,8 +82,8 @@ class TestGroundState:
     def test_to_dict_contract(self, bent_result):
         _, grid, res = bent_result
         d = res.to_dict()
-        assert set(d) == {"kappa", "lambda", "delta", "residual", "grid",
-                          "curve_hash"}
+        assert set(d) == {"kappa", "lambda", "delta", "residual", "kappa_error",
+                          "grid", "curve_hash"}
         assert set(d["grid"]) == {"L", "n"}
         assert d["lambda"] == -d["kappa"] ** 2
 
@@ -98,7 +97,7 @@ class TestGroundState:
 
 
 class TestRootFinding:
-    def test_each_kappa_assembled_once(self, monkeypatch):
+    def test_newton_assembles_each_kappa_once(self, monkeypatch):
         sc = geo.ScaledCurve(geo.broken_line(1.5), 1.0)
         grid = Grid.uniform(30.0, 300)
         assembled = []
@@ -107,28 +106,56 @@ class TestRootFinding:
             spectrum, "assemble",
             lambda curve, kappa, grid, **kw:
                 assembled.append(kappa) or real_assemble(curve, kappa, grid, **kw))
-        brent = {}
-        real_brentq = scipy.optimize.brentq
-
-        def counted_brentq(f, a, b, **kw):
-            brent["before"] = len(assembled)
-            out = real_brentq(f, a, b, **kw)
-            brent["calls"] = out[1].function_calls
-            brent["after"] = len(assembled)
-            return out
-
-        monkeypatch.setattr(scipy.optimize, "brentq", counted_brentq)
         res = spectrum.solve_ground(sc, 1.0, grid)
-
         assert isinstance(res, SpectralResult)
-        assert len(set(assembled)) == len(assembled)
-        # 1 margin check + bracket-end probes before Brent; Brent's first two
-        # calls are the bracket ends, already assembled; result() adds none
-        bracket_steps = brent["before"] - 1
-        assert bracket_steps >= 1
-        assert len(assembled) == 1 + bracket_steps + brent["calls"] - 2
-        assert brent["after"] == len(assembled)
-        assert len(assembled) <= 12
+        # the margin check, then Newton steps; the result adds none
+        assert len(set(assembled)) == len(assembled) <= 4
+        assembled.clear()
+        spectrum.solve_threshold(1.0, grid)
+        assert len(set(assembled)) == len(assembled) <= 4
+
+    def test_no_slope_at_failing_margin_check(self, monkeypatch):
+        # one bound level: level 2's margin check fails and needs no slope
+        sc = geo.ScaledCurve(geo.broken_line(1.5), 1.0)
+        grid = Grid.uniform(30.0, 300)
+        events = []
+        real_assemble, real_slope = spectrum.assemble, spectrum.slope_form
+        monkeypatch.setattr(
+            spectrum, "assemble",
+            lambda curve, kappa, grid, **kw:
+                events.append("assemble") or real_assemble(curve, kappa, grid, **kw))
+        monkeypatch.setattr(
+            spectrum, "slope_form",
+            lambda *args: events.append("slope") or real_slope(*args))
+        levels = solve_all(sc, 1.0, grid, maxk=2)
+        assert len(levels) == 1
+        assert events[-1] == "assemble"
+        assert events.count("slope") == events.count("assemble") - 1
+
+    def test_error_bar_bounds_true_error(self):
+        sc = geo.ScaledCurve(geo.broken_line(1.0), 1.0)
+        grid = Grid.uniform(40.0, 400)
+        tol = 1e-6
+        loose = solve_ground(sc, 1.0, grid, tol=tol)
+        tight = solve_ground(sc, 1.0, grid, tol=1e-13)
+        assert 0.0 < loose.kappa_error < 0.5 * tol
+        assert abs(loose.kappa - tight.kappa) <= 2.0 * loose.kappa_error
+        assert tight.kappa_error < 0.5e-13
+
+    def test_no_sign_change_below_cap(self):
+        # g stays positive up to the unevaluated upper end: the bracket
+        # closes onto it and the search gives up
+        with pytest.raises(spectrum.NumericalError, match="no sign change"):
+            spectrum._newton(lambda x: 1.0 - x / 100.0, lambda x: -0.01,
+                             0.5, 0.5, 10.0, 1e-8)
+
+    def test_bisects_when_slope_unusable(self):
+        # a nonnegative slope gives no Newton step: bisection alone closes
+        # the bracket around the root, and its width is the error bar
+        kappa, error = spectrum._newton(lambda x: 0.3 - x, lambda x: 1.0,
+                                        0.5, 0.0, 1.0, 1e-6)
+        assert 0.0 < error < 0.5e-6
+        assert abs(kappa - 0.3) <= error
 
     @pytest.mark.parametrize("which", ["ground", "threshold"])
     def test_root_brackets_sign_change(self, which):
