@@ -51,7 +51,7 @@ import scipy.integrate
 import scipy.linalg
 
 from . import geometry
-from .bs_core import pairwise_distances
+from .bs_core import _slope_diagonal, slope_form
 from .spectrum import NumericalError
 from .specfun import bessel_k1
 
@@ -259,14 +259,13 @@ def wiggle_slope(curve, alpha, cluster, grid):
     cross = vecs[left].T @ block @ vecs[~left]
     form = cross + cross.T
 
-    # norm kernel of the generated plane eigenfunction (squared resolvent)
-    rho = pairwise_distances(curve, nodes)
-    rho_safe = np.where(rho > 0.0, rho, 1.0)
-    bmat = rho / (4.0 * math.pi * nu) * bessel_k1(nu * rho_safe)
-    np.fill_diagonal(bmat, 1.0 / (4.0 * math.pi * nu * nu))
-    bmat *= grid.h
-
-    norm = vecs.T @ bmat @ vecs
+    # norm kernel of the generated plane eigenfunction (squared resolvent):
+    # -(1/2 nu) dM/dkappa off the diagonal, so slope_form's form with its
+    # diagonal term swapped for the point limit h / (4 pi nu^2)
+    h = grid.h
+    gram = vecs.T @ vecs
+    off = slope_form(curve, nu, grid, vecs) - _slope_diagonal(nu, h) * gram
+    norm = -off / (2.0 * nu) + h / (4.0 * math.pi * nu * nu) * gram
     slopes = scipy.linalg.eigh(-form / alpha, 0.5 * (norm + norm.T),
                                eigvals_only=True)
     return np.asarray(slopes)

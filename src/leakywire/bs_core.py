@@ -26,14 +26,18 @@ runs of consecutive nodes on one constant-curvature piece (straight tail,
 arc, or segment between vertices), cut at the arc lengths geometry.breaks
 reads from the curve's piece table.  Inside a run every chord depends on
 |s - s'| alone, so on the equally spaced nodes the run's diagonal block is a
-Toeplitz matrix built from one row of K0 values.  Each block between two
-runs is evaluated once from the chords of its node points and mirrored, so
-M is exactly symmetric.  The straight line is a single run: n K0 values
-instead of n^2.  A single corner needs fresh values only on the cross
-block, about n^2/4 entries.  assemble returns M as a plain ndarray.
-slope_form walks the same runs and blocks with K1 in place of K0 to give
-the quadratic form of dM/dkappa, the exact slope of an eigenvalue, without
-building that matrix.
+Toeplitz matrix built from one row of K0 values.  The straight line is a
+single run: n K0 values instead of n^2.  Each block between a run and all
+later nodes is smooth away from the vertex where the two pieces meet, and
+of low numerical rank: the n/2 x n/2 cross block of a single corner has
+rank 20 to 25 at 1e-14.  Adaptive cross approximation (_aca) builds it as
+U @ V from r rows and r columns of K0 values, r (n/2 + n/2) in all instead
+of n^2/4, checked against one sampled entry per row; a block too small for
+that to pay, or one whose check misses, is evaluated entry by entry.  Each
+block is written once and mirrored, so M is exactly symmetric, and assemble
+returns M as a plain ndarray.  slope_form walks the same runs and blocks
+with K1 in place of K0 to give the quadratic form of dM/dkappa, the exact
+slope of an eigenvalue, without building that matrix or its blocks.
 
 A curve that s -> -s maps onto itself (geometry.mirror_symmetric: the unit
 corner, the straight line, a zigzag about 0) has, on the midpoint grid, a
@@ -68,7 +72,6 @@ __all__ = [
     "Grid",
     "assemble",
     "diag_correction",
-    "pairwise_distances",
     "q_kernel",
     "slope_form",
     "top_eigenpairs",
@@ -80,8 +83,18 @@ __all__ = [
 # dense subset solve wins when two sweep threads share the cores
 DENSE_CUTOFF = 500
 _RESIDUAL_FACTOR = 1e-10
-# entries per row chunk of a cross block in slope_form (512 kB of float64)
+# entries per row chunk of a cross block that slope_form evaluates directly
+# (512 kB of float64)
 _CHUNK_ENTRIES = 1 << 16
+# cross approximation (_aca): the sampled check holds the factors to the
+# 1e-13 max|M| within which assembly matches entry-by-entry evaluation, and
+# the stopping tolerance sits an order below it.  Cross blocks of the kernel
+# take ranks of 14 to 25 at that tolerance, so a block whose rank cap is
+# below _ACA_MIN_RANK would mostly hit it; it is evaluated directly.
+_ACA_CHECK = 1e-13
+_ACA_EPS = 0.1 * _ACA_CHECK
+_ACA_MIN_RANK = 24
+_GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 
 class EigensolverError(RuntimeError):
@@ -161,12 +174,6 @@ def diag_correction(kappa, h):
     return float(int_k0) / (math.pi * kappa * h)
 
 
-def pairwise_distances(curve, nodes):
-    """Full chord-distance matrix between grid nodes on the scaled curve."""
-    pts = geometry.point(curve, np.asarray(nodes, dtype=float))
-    return _chords(pts, pts)
-
-
 def _runs(curve, grid):
     """(start, stop) index ranges of the node runs whose diagonal blocks are
     Toeplitz.
@@ -188,15 +195,77 @@ def _chords(pa, pb):
     return np.hypot(rho, dy, out=rho)
 
 
+def _aca(fn, pa, pb):
+    """Low-rank factors (U, V), U of shape (m, r) and V of shape (r, k), with
+    U @ V ~ fn(_chords(pa, pb)), or None where the block is to be evaluated
+    directly.
+
+    Adaptive cross approximation with partial pivoting (Bebendorf, Numer.
+    Math. 86, 2000): each step evaluates one residual row and the residual
+    column through its largest entry, r (m + k) kernel values in all.  It
+    starts at the last row of pa, next to pb where the kernel peaks, moves
+    to the unused row with the largest entry of the last column, and stops
+    when the last cross is below _ACA_EPS times the Frobenius norm of the
+    approximant.  The factors are then checked against fn at one sampled
+    entry per row, at columns spread by the golden ratio, to _ACA_CHECK
+    times the largest value seen.
+
+    None when the block is too small for the rank to pay (a rank cap of
+    m k / (4 (m + k)), a quarter of the direct evaluations, below
+    _ACA_MIN_RANK), when the cap is hit, or when the check misses.  fn maps
+    an array of chords to kernel values and may overwrite its argument.
+    """
+    m, k = len(pa), len(pb)
+    cap = m * k // (4 * (m + k))
+    if cap < _ACA_MIN_RANK:
+        return None
+    us = np.empty((cap, m))
+    vs = np.empty((cap, k))
+    free = np.ones(m, dtype=bool)
+    i = m - 1
+    norm2 = 0.0
+    scale = 0.0
+    for r in range(cap):
+        free[i] = False
+        row = fn(_chords(pa[i:i + 1], pb)[0]) - us[:r, i] @ vs[:r]
+        j = int(np.argmax(np.abs(row)))
+        if row[j] == 0.0:
+            break  # the approximant already reproduces this row exactly
+        col = fn(_chords(pa, pb[j:j + 1])[:, 0]) - us[:r].T @ vs[:r, j]
+        if r == 0:
+            scale = max(np.max(np.abs(row)), np.max(np.abs(col)))
+        v = row / row[j]
+        us[r], vs[r] = col, v
+        cross = np.linalg.norm(col) * np.linalg.norm(v)
+        norm2 += cross * cross + 2.0 * (us[:r] @ col) @ (vs[:r] @ v)
+        if cross <= _ACA_EPS * math.sqrt(norm2):
+            r += 1
+            break
+        free_col = np.where(free, np.abs(col), -1.0)
+        i = int(np.argmax(free_col))
+    else:
+        return None
+    u, v = us[:r].T, vs[:r]
+    cols = (np.modf((m - 1 - np.arange(m)) * _GOLDEN)[0] * k).astype(int)
+    direct = fn(np.hypot(*(pa - pb[cols]).T))
+    approx = np.einsum("ij,ji->i", u, v[:, cols])
+    scale = max(scale, np.max(np.abs(direct)))
+    if np.max(np.abs(approx - direct)) > _ACA_CHECK * scale:
+        return None
+    return u, v
+
+
 def assemble(curve, kappa, grid, parities=None):
     """Symmetric Nystrom matrix (ndarray) of the kernel at spectral
     parameter kappa, or its folded blocks.
 
     kappa > alpha/2 is the intended regime but is not enforced here.  K0 is
-    evaluated once per distinct entry: one row per Toeplitz run (see _runs),
-    written into the matrix through a strided view, and each block between a
-    run and all later nodes, mirrored into its transpose.  No n x n
-    temporary is made beyond the largest cross block and its chords.
+    evaluated once per distinct entry of each Toeplitz run (see _runs): one
+    row, written into the matrix through a strided view.  Each block
+    between a run and all later nodes is built from its cross approximation
+    factors (_aca), or evaluated entry by entry where those do not serve,
+    and mirrored into its transpose.  No n x n temporary is made beyond the
+    largest cross block.
 
     With parities, a tuple of +1 (even) and -1 (odd), the curve must be
     geometry.mirror_symmetric, and the list of the wanted blocks of M in
@@ -213,6 +282,13 @@ def assemble(curve, kappa, grid, parities=None):
         rows = (n + 1) // 2
     h = grid.h
     scale = h / (2.0 * math.pi)
+
+    def entries(rho):
+        rho *= kappa
+        out = bessel_k0(rho)
+        out *= scale
+        return out
+
     pts = geometry.point(curve, grid.nodes)
     mat = np.empty((rows, n))
     for start, stop in _runs(curve, grid):
@@ -220,21 +296,19 @@ def assemble(curve, kappa, grid, parities=None):
             break
         m = stop - start
         built = min(stop, rows) - start
-        rho = np.hypot(*(pts[start + 1:stop] - pts[start]).T)
         row = np.zeros(m)  # row[0] is the diagonal, filled in below
-        row[1:] = bessel_k0(kappa * rho) * scale
+        row[1:] = entries(np.hypot(*(pts[start + 1:stop] - pts[start]).T))
         mat[start:start + built, start:stop] = sliding_window_view(
             np.concatenate((row[:0:-1], row)), m)[::-1][:built]
         if stop == n:
             continue
-        block = _chords(pts[start:start + built], pts[stop:])
-        block *= kappa
-        block = bessel_k0(block)
-        block *= scale
+        pa, pb = pts[start:start + built], pts[stop:]
+        factors = _aca(entries, pa, pb)
+        block = factors[0] @ factors[1] if factors else entries(_chords(pa, pb))
         mat[start:start + built, stop:] = block
         if stop < rows:
             mat[stop:, start:stop] = block[:, :rows - stop].T
-        del block  # before the next run's chords are allocated
+        del block  # before the next run's block is allocated
 
     np.fill_diagonal(mat, h * diag_correction(kappa, h))
     if parities is None:
@@ -279,6 +353,13 @@ def unfold(vec, n, parity):
     return out
 
 
+def _slope_diagonal(kappa, h):
+    """Diagonal entry of dM/dkappa, the kappa-derivative of the cell average
+    h diag_correction(kappa, h)."""
+    return h * (bessel_k0(0.5 * kappa * h) / (2.0 * math.pi)
+                - diag_correction(kappa, h)) / kappa
+
+
 def slope_form(curve, kappa, grid, vecs):
     """m x m matrix V^T (dM/dkappa) V for node vectors V of shape (n, m).
 
@@ -290,8 +371,10 @@ def slope_form(curve, kappa, grid, vecs):
 
     The walk is assemble's: each Toeplitz run needs one row of K1 values,
     applied through np.correlate of the run's vectors, and each block
-    between a run and all later nodes is evaluated in row chunks of at
-    most _CHUNK_ENTRIES entries.  No n x n array is made.
+    between a run and all later nodes contributes (V_run^T U)(W V_later)
+    from its cross approximation factors U, W (_aca).  Where those do not
+    serve, the block is evaluated in row chunks of at most _CHUNK_ENTRIES
+    entries.  No n x n array is made.
     """
     if kappa <= 0 or not math.isfinite(kappa):
         raise ValueError("kappa must be positive and finite")
@@ -300,16 +383,19 @@ def slope_form(curve, kappa, grid, vecs):
         raise ValueError(f"vecs must have shape ({grid.n}, m), got {vecs.shape}")
     n, m = vecs.shape
     h = grid.h
+
+    def entries(rho):
+        out = bessel_k1(kappa * rho)
+        out *= rho
+        return out
+
     pts = geometry.point(curve, grid.nodes)
-    diag = h * (bessel_k0(0.5 * kappa * h) / (2.0 * math.pi)
-                - diag_correction(kappa, h)) / kappa
-    form = diag * (vecs.T @ vecs)
+    form = _slope_diagonal(kappa, h) * (vecs.T @ vecs)
     off = np.zeros((m, m))  # the off-diagonal form, without -h/2pi
     for start, stop in _runs(curve, grid):
         run = vecs[start:stop]
         if stop - start > 1:
-            rho = np.hypot(*(pts[start + 1:stop] - pts[start]).T)
-            row = rho * bessel_k1(kappa * rho)
+            row = entries(np.hypot(*(pts[start + 1:stop] - pts[start]).T))
             # weights by lag -(len - 1) .. len - 1, as np.correlate orders them
             lags = np.concatenate((row[::-1], [0.0], row))
             for p in range(m):
@@ -318,14 +404,17 @@ def slope_form(curve, kappa, grid, vecs):
                     off[q, p] = off[p, q]
         if stop == n:
             continue
-        chunk = max(1, _CHUNK_ENTRIES // (n - stop))
-        for lo in range(start, stop, chunk):
-            hi = min(lo + chunk, stop)
-            rho = _chords(pts[lo:hi], pts[stop:])
-            block = bessel_k1(kappa * rho)
-            block *= rho
-            part = vecs[lo:hi].T @ block @ vecs[stop:]
-            off += part + part.T
+        factors = _aca(entries, pts[start:stop], pts[stop:])
+        if factors:
+            part = (run.T @ factors[0]) @ (factors[1] @ vecs[stop:])
+        else:
+            part = np.zeros((m, m))
+            chunk = max(1, _CHUNK_ENTRIES // (n - stop))
+            for lo in range(start, stop, chunk):
+                hi = min(lo + chunk, stop)
+                block = entries(_chords(pts[lo:hi], pts[stop:]))
+                part += vecs[lo:hi].T @ block @ vecs[stop:]
+        off += part + part.T
     return form - (h / (2.0 * math.pi)) * off
 
 

@@ -337,6 +337,7 @@ def _solve_beta_point(config, coef, beta, threshold_cache):
         "gap_predicted": gap_pred,
         "kappa_threshold": kappa_thr,
         "residual": res.residual,
+        "kappa_error": res.kappa_error,
         "L": grid.L,
         "n": grid.n,
     }
@@ -420,7 +421,8 @@ def sweep_phi(config):
                             kappa_floor=thr)
         for r in res:
             rows.append({"phi": phi, "level": r.level, "lambda": r.eigenvalue,
-                         "kappa": r.kappa, "residual": r.residual})
+                         "kappa": r.kappa, "residual": r.residual,
+                         "kappa_error": r.kappa_error})
 
     slopes = []
     for k, lv in enumerate(levels, start=1):
@@ -480,7 +482,8 @@ def convergence(config, beta):
         rows.append({"grid": label, "L": Lc, "n": nc,
                      "lambda": res.eigenvalue, "kappa": res.kappa,
                      "kappa_threshold": thr, "gap_corrected": gaps[label],
-                     "residual": res.residual})
+                     "residual": res.residual,
+                     "kappa_error": res.kappa_error})
 
     dh = values["h/2,2L"] - values["h,2L"]
     dL = values["h/2,2L"] - values["h/2,L"]

@@ -23,7 +23,7 @@ from leakywire.asymptotics import (
     wiggle_kernel,
     wiggle_slope,
 )
-from leakywire.bs_core import Grid, assemble, pairwise_distances, q_kernel
+from leakywire.bs_core import Grid, assemble, q_kernel
 from leakywire.specfun import bessel_k1
 from leakywire.spectrum import solve_all, solve_ground, solve_threshold
 
@@ -173,6 +173,13 @@ def wiggle_setup(zigzag):
     ground = solve_ground(geo.ScaledCurve(frame, 1.0), 1.0, grid,
                           kappa_floor=thr)
     return frame, grid, thr, ground
+
+
+def pairwise_distances(curve, nodes):
+    """Full chord-distance matrix between grid nodes on the scaled curve."""
+    pts = geo.point(curve, np.asarray(nodes, dtype=float))
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.hypot(diff[..., 0], diff[..., 1])
 
 
 def dense_slopes(frame, alpha, cluster, grid):

@@ -23,13 +23,19 @@ from leakywire.bs_core import (
     Grid,
     assemble,
     diag_correction,
-    pairwise_distances,
     q_kernel,
     slope_form,
     top_eigenpairs,
     unfold,
 )
 from leakywire.specfun import bessel_k0
+
+# cases whose cross blocks are large enough for cross approximation: the
+# unit corner with its vertex on a cell edge (even n) and on a node (odd n),
+# twin corners in the wiggle frame, a zigzag and an arc segment
+LARGE_CASES = ["corner_1504", "corner_1503", "twin_1200", "zigzag_1000",
+               "arc_1000"]
+
 
 
 class TestGrid:
@@ -126,25 +132,63 @@ class TestAssemble:
         mat = assemble(sc, 0.7, Grid.uniform(8.0, 64))
         assert np.array_equal(mat, mat.T)
 
-    @pytest.mark.parametrize("case", ["corner_odd", "corner_even", "wiggle",
-                                      "arc"])
-    def test_matches_dense_reference(self, case, broken, zigzag):
-        grid = Grid.uniform(5.0, 40)
-        curve = geo.ScaledCurve(broken, 1.0)
-        if case == "corner_odd":
-            grid = Grid.uniform(5.0, 41)
-        elif case == "wiggle":
-            # vertices at -2 and at the pivot 0, where the wiggle composes
-            curve = geo.ScaledCurve(
-                geo.with_wiggle(geo.to_wiggle_frame(zigzag), 0.1), 1.0)
-        elif case == "arc":
-            curve = geo.ScaledCurve(
-                geo.CurveSpec(segments=((-2.0, 0.5, 0.5),), vertices=((0.5, 1.0),)),
-                0.8)
+    @pytest.mark.parametrize("case", LARGE_CASES + ["corner_odd", "corner_even",
+                                                    "wiggle", "arc"])
+    def test_matches_dense_reference(self, case, broken, zigzag, twin_corners,
+                                     monkeypatch):
+        curve, grid = reference_case(case, broken, zigzag, twin_corners)
+        factored = spy_aca(monkeypatch)
         ref = dense_reference(curve, 0.7, grid)
         mat = assemble(curve, 0.7, grid)
         assert np.max(np.abs(mat - ref)) <= 1e-13 * np.max(np.abs(ref))
         assert np.array_equal(mat, mat.T)
+        # the large cases take the low-rank path, the small ones do not
+        assert any(f is not None for f in factored) == (case in LARGE_CASES)
+
+    def test_cross_blocks_from_few_values(self, broken, monkeypatch):
+        # a bent unit corner at n = 1504: the 752 x 752 cross block from
+        # its cross approximation factors, the Toeplitz rows and the
+        # sampled check, together under a tenth of the block's entries,
+        # in assemble (K0) and in slope_form (K1)
+        evals = []
+        for name in ("bessel_k0", "bessel_k1"):
+            real = getattr(bs_core, name)
+            monkeypatch.setattr(bs_core, name, lambda x, real=real:
+                                evals.append(np.size(x)) or real(x))
+        n = 1504
+        sc = geo.ScaledCurve(broken, 1.0)
+        grid = Grid.uniform(94.0, n)
+        assemble(sc, 0.55, grid)
+        assert sum(evals) <= 0.1 * (n // 2) ** 2
+        evals.clear()
+        # K1 values, and one K0 value for the diagonal term
+        slope_form(sc, 0.55, grid, np.ones((n, 1)))
+        assert sum(evals) <= 0.1 * (n // 2) ** 2
+
+    def test_missed_check_falls_back_to_direct(self, broken, monkeypatch):
+        # a kernel with a spike on the chords beyond 120, the far corner of
+        # the cross block where K0 is below 1e-28 of its values near the
+        # vertex: the pivots stay near the vertex and never see it, the
+        # sampled entries do, and the block is evaluated directly
+        kappa = 0.55
+        real = bs_core.bessel_k0
+
+        def spiked(x):
+            return real(x) + 1e-6 * (np.asarray(x) > kappa * 120.0)
+
+        sc = geo.ScaledCurve(broken, 1.0)
+        grid = Grid.uniform(94.0, 1504)
+        factored = spy_aca(monkeypatch)
+        assemble(sc, kappa, grid)
+        assert [f is not None for f in factored] == [True]
+        factored.clear()
+        monkeypatch.setattr(bs_core, "bessel_k0", spiked)
+        mat = assemble(sc, kappa, grid)
+        assert factored == [None]
+        ref = dense_reference(sc, kappa, grid, k0=spiked)
+        assert np.max(np.abs(mat - ref)) <= 1e-13 * np.max(np.abs(ref))
+        spike = np.max(np.abs(mat - dense_reference(sc, kappa, grid)))
+        assert spike == pytest.approx(1e-6 * grid.h / (2.0 * math.pi), rel=1e-6)
 
     @pytest.mark.parametrize("n", [41, 40])
     def test_toeplitz_straight_line(self, n):
@@ -329,7 +373,7 @@ class TestSlopeForm:
             slope_form(sc, 0.5, grid, np.ones(10))
 
     def test_peak_memory(self, broken):
-        # cross blocks in row chunks: far below one n x n matrix
+        # cross blocks from their low-rank factors: far below one n x n matrix
         n = 1200
         sc = geo.ScaledCurve(broken, 1.0)
         grid = Grid.uniform(75.0, n)
@@ -343,12 +387,66 @@ class TestSlopeForm:
         assert peak <= 0.25 * 8 * n * n
 
 
-def dense_reference(curve, kappa, grid):
+    @pytest.mark.parametrize("case", LARGE_CASES)
+    def test_matches_direct_evaluation(self, case, broken, zigzag, twin_corners,
+                                       rng, monkeypatch):
+        # the low-rank cross blocks against the same walk with every block
+        # evaluated directly in row chunks
+        curve, grid = reference_case(case, broken, zigzag, twin_corners)
+        vecs = rng.standard_normal((grid.n, 2))
+        factored = spy_aca(monkeypatch)
+        form = slope_form(curve, 0.7, grid, vecs)
+        assert any(f is not None for f in factored)
+        monkeypatch.setattr(bs_core, "_aca", lambda fn, pa, pb: None)
+        direct = slope_form(curve, 0.7, grid, vecs)
+        assert np.array_equal(form, form.T)
+        assert np.max(np.abs(form - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+
+def reference_case(case, broken, zigzag, twin_corners):
+    """(curve, grid) of a named assembly case."""
+    corner = geo.ScaledCurve(broken, 1.0)
+    arc = geo.ScaledCurve(
+        geo.CurveSpec(segments=((-2.0, 0.5, 0.5),), vertices=((0.5, 1.0),)), 0.8)
+    return {
+        "corner_1504": (corner, Grid.uniform(60.0, 1504)),
+        "corner_1503": (corner, Grid.uniform(60.0, 1503)),
+        "twin_1200": (geo.ScaledCurve(geo.with_wiggle(
+            geo.to_wiggle_frame(twin_corners), 0.04), 1.0), Grid.uniform(60.0, 1200)),
+        "zigzag_1000": (geo.ScaledCurve(zigzag, 1.0), Grid.uniform(40.0, 1000)),
+        "arc_1000": (arc, Grid.uniform(40.0, 1000)),
+        "corner_even": (corner, Grid.uniform(5.0, 40)),
+        "corner_odd": (corner, Grid.uniform(5.0, 41)),
+        # vertices at -2 and at the pivot 0, where the wiggle composes
+        "wiggle": (geo.ScaledCurve(
+            geo.with_wiggle(geo.to_wiggle_frame(zigzag), 0.1), 1.0),
+            Grid.uniform(5.0, 40)),
+        "arc": (arc, Grid.uniform(5.0, 40)),
+    }[case]
+
+
+def spy_aca(monkeypatch):
+    """Record what each cross approximation returns: factors or None."""
+    out = []
+    real = bs_core._aca
+    monkeypatch.setattr(bs_core, "_aca", lambda fn, pa, pb:
+                        out.append(real(fn, pa, pb)) or out[-1])
+    return out
+
+
+def pairwise_distances(curve, nodes):
+    """Full chord-distance matrix between grid nodes on the scaled curve."""
+    pts = geo.point(curve, np.asarray(nodes, dtype=float))
+    diff = pts[:, None, :] - pts[None, :, :]
+    return np.hypot(diff[..., 0], diff[..., 1])
+
+
+def dense_reference(curve, kappa, grid, k0=bessel_k0):
     """Every off-diagonal entry h K0(kappa rho_ij) / 2pi from the full chord
     matrix, and h times the cell average on the diagonal."""
     rho = pairwise_distances(curve, grid.nodes)
     np.fill_diagonal(rho, 1.0)
-    ref = grid.h * bessel_k0(kappa * rho) / (2.0 * math.pi)
+    ref = grid.h * k0(kappa * rho) / (2.0 * math.pi)
     np.fill_diagonal(ref, grid.h * diag_correction(kappa, grid.h))
     return ref
 

@@ -219,6 +219,8 @@ class TestSweepBeta:
             assert row["gap_corrected"] > 0.0
             assert row["kappa_threshold"] < 0.5
             assert row["L"] == 60.0 and row["n"] == 400
+            # the solve's error bar rides along, below the tolerance
+            assert 0.0 < row["kappa_error"] < 1e-8
         # on a shared grid both points reuse one threshold solve
         assert rep.rows[0]["kappa_threshold"] == rep.rows[1]["kappa_threshold"]
         assert rep.fit["n_points"] == 2
@@ -249,6 +251,7 @@ class TestSweepPhi:
         assert rep.kind == "sweep_phi"
         assert len(rep.extras["levels"]) == 1
         assert len(rep.rows) == 3
+        assert all(0.0 < row["kappa_error"] < 1e-9 for row in rep.rows)
         lam = {row["phi"]: row["lambda"] for row in rep.rows}
         slope_info = rep.extras["slopes"][0]
         assert lam[0.0] == pytest.approx(slope_info["lambda0"], abs=1e-12)
@@ -286,6 +289,7 @@ class TestConvergence:
         for row in rep.rows:
             assert row["gap_corrected"] > 0.0
             assert row["residual"] < 1e-6
+            assert 0.0 < row["kappa_error"] < 1e-8
         ex = rep.extras
         assert ex["error_estimate"] > 0.0
         assert ex["extrapolated"] < -0.25
