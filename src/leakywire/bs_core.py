@@ -88,9 +88,12 @@ _RESIDUAL_FACTOR = 1e-10
 _CHUNK_ENTRIES = 1 << 16
 # cross approximation (_aca): the sampled check holds the factors to the
 # 1e-13 max|M| within which assembly matches entry-by-entry evaluation, and
-# the stopping tolerance sits an order below it.  Cross blocks of the kernel
-# take ranks of 14 to 25 at that tolerance, so a block whose rank cap is
-# below _ACA_MIN_RANK would mostly hit it; it is evaluated directly.
+# the stopping tolerance sits an order below it.  Without a cap, the cross
+# blocks of the benchmark workloads' grids take 14 to 27 crosses at that
+# tolerance, and 108 of the 114 per round whose cap is below _ACA_MIN_RANK
+# need more crosses than their cap allows.  Trying them anyway made the
+# wiggle-sweep rounds 37 % slower and left beta-sweep flat, so such a block
+# is evaluated directly from the start.
 _ACA_CHECK = 1e-13
 _ACA_EPS = 0.1 * _ACA_CHECK
 _ACA_MIN_RANK = 24

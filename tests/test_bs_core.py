@@ -308,6 +308,24 @@ class TestFold:
                     assert abs(block_res - full_res) <= 1e-14 * max(full_res, vals[0])
                 assert np.linalg.norm(mat @ full - vals[0] * full) <= 1e-13 * vals[0]
 
+    @pytest.mark.parametrize("case", ["corner_1504", "corner_1503"])
+    def test_low_rank_blocks(self, case, broken, zigzag, twin_corners, monkeypatch):
+        # the cross block B = U @ V is centrosymmetric only to the sampled
+        # check's bound, so A + parity*BJ is symmetric to twice that, not
+        # to rounding; the blocks still carry the dense reference's spectrum
+        curve, grid = reference_case(case, broken, zigzag, twin_corners)
+        factored = spy_aca(monkeypatch)
+        even, odd = assemble(curve, 0.7, grid, parities=(1, -1))
+        assert factored and all(f is not None for f in factored)
+        ref = dense_reference(curve, 0.7, grid)
+        scale = np.max(np.abs(ref))
+        for block in (even, odd):
+            assert np.max(np.abs(block - block.T)) <= 2 * bs_core._ACA_CHECK * scale
+        full = np.linalg.eigvalsh(ref)
+        folded = np.sort(np.concatenate((np.linalg.eigvalsh(even),
+                                         np.linalg.eigvalsh(odd))))
+        assert np.max(np.abs(folded - full)) <= 1e-13 * np.max(np.abs(full))
+
     def test_asymmetric_curve_not_folded(self, broken):
         for curve in (geo.CurveSpec(vertices=((-2.0, 0.6), (2.0, 0.5))),
                       geo.shift(broken, 0.3)):

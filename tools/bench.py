@@ -2,16 +2,17 @@
 
 Run from the repository root:
 
-    python tools/bench.py --pr 11 --seeds 21 22 23 --seconds 8
+    python tools/bench.py --pr 11 --seeds 21 22 23
 
-For every workload and seed this runs ``benchmark/run.py --trace 0`` in a
-subprocess on the current checkout and keeps the metrics from the JSON line
-it prints last.  It then times one run of the tier-1 suite
-(``python -m pytest -q --continue-on-collection-errors`` with ``src`` on the
-path) and writes ``BENCH_<pr>.json`` at the repository root: each run's
-metrics, and per workload and metric the median and the quartiles over the
-seeds.  Runs are sequential, so one benchmark process loads the machine at a
-time.  The benchmark's own files are only run, never read or changed.
+For every workload and seed this runs ``benchmark/run.py --trace 0`` for
+SECONDS seconds in a subprocess on the current checkout and keeps the
+metrics from the JSON line it prints last.  It then times one run of the
+tier-1 suite (``python -m pytest -q --continue-on-collection-errors`` with
+``src`` on the path) and writes ``BENCH_<pr>.json`` at the repository
+root: each run's metrics, and per workload and metric the median and the
+quartiles over the seeds.  Runs are sequential, so one benchmark process
+loads the machine at a time.  The benchmark's own files are only run,
+never read or changed.
 """
 
 import argparse
@@ -25,23 +26,22 @@ import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("corner-solve", "beta-sweep", "wiggle-sweep")
+# run length per workload and seed
+SECONDS = 8.0
 
 
 def parse_args(argv):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--pr", required=True, help="names the output BENCH_<pr>.json")
     p.add_argument("--seeds", type=int, nargs="+", required=True)
-    p.add_argument("--seconds", type=float, default=8.0,
-                   help="run length per workload and seed (default 8)")
-    p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=WORKLOADS)
     return p.parse_args(argv)
 
 
-def run_workload(workload, seed, seconds):
+def run_workload(workload, seed):
     """Metrics of one benchmark run, as {name: value}, plus its verdict."""
     proc = subprocess.run(
         [sys.executable, os.path.join("benchmark", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", repr(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", repr(SECONDS), "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if not lines:
@@ -91,11 +91,11 @@ def main(argv=None):
               "uncommitted_changes": bool(git("status", "--porcelain", "--", "src")),
               "python": platform.python_version(),
               "machine": platform.machine(), "cpus": os.cpu_count(),
-              "seconds": args.seconds, "seeds": args.seeds, "workloads": {}}
-    for workload in args.workloads:
+              "seconds": SECONDS, "seeds": args.seeds, "workloads": {}}
+    for workload in WORKLOADS:
         runs = []
         for seed in args.seeds:
-            run = run_workload(workload, seed, args.seconds)
+            run = run_workload(workload, seed)
             print(f"{workload} seed {seed}: correct {run['correct']}, "
                   f"wall_s {run['metrics'].get('wall_s', float('nan')):.3f}",
                   file=sys.stderr)
