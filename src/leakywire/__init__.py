@@ -18,7 +18,7 @@ from .geometry import (
     total_bending,
     validate,
 )
-from .bs_core import Grid, assemble, diag_correction, q_kernel, top_eigenpairs
+from .bs_core import Grid, assemble, diag_correction, top_eigenpairs
 from .spectrum import (NoBoundState, SpectralResult, eta, solve_all,
                        solve_ground, solve_threshold)
 from .asymptotics import (
@@ -34,7 +34,7 @@ __all__ = [
     "bessel_k0", "bessel_k1", "k0_prime",
     "CurvatureSegment", "CurveSpec", "ScaledCurve", "Vertex",
     "bending", "curve_from_json", "distance", "point", "total_bending", "validate",
-    "Grid", "assemble", "diag_correction", "q_kernel", "top_eigenpairs",
+    "Grid", "assemble", "diag_correction", "top_eigenpairs",
     "NoBoundState", "SpectralResult", "eta", "solve_all", "solve_ground",
     "solve_threshold",
     "a_coefficient", "a_kernel", "broken_line_reduced_integral",

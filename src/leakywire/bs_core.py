@@ -48,11 +48,15 @@ no n x n matrix is made.  unfold maps a block eigenvector back to all n
 nodes.
 
 Eigensolves go dense (scipy.linalg.eigh restricted to the wanted pairs) up
-to DENSE_CUTOFF = 500 rows and through ARPACK (scipy.sparse.linalg.eigsh,
-largest algebraic) above, with a deterministic start vector and a residual
+to DENSE_CUTOFF = 500 rows and through a block thick-restart Lanczos in
+numpy above (_lanczos_top), with a deterministic start block and a residual
 check ||Mv - eta v|| <= 1e-10 ||M|| either way, on whichever matrix or block
 is solved.  For an exactly folded block that residual equals the residual
-of the unfolded vector against M.
+of the unfolded vector against M.  The Lanczos products with M and its
+orthogonalization run in numpy's BLAS, as assembly does; only the small
+projected eigenproblem goes to scipy.  ARPACK (scipy's eigsh) would
+interleave its own BLAS calls, made through scipy's OpenBLAS, with products
+in numpy's, and on few cores the two thread pools slow each other.
 """
 
 import math
@@ -61,7 +65,6 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 import scipy.linalg
-import scipy.sparse.linalg
 import scipy.special
 
 from .specfun import bessel_k0, bessel_k1
@@ -72,17 +75,30 @@ __all__ = [
     "Grid",
     "assemble",
     "diag_correction",
-    "q_kernel",
     "slope_form",
     "top_eigenpairs",
     "unfold",
 ]
 
-# dimension up to which top_eigenpairs solves dense: above it warm-started
-# ARPACK is faster for one pair (twice as fast at 752 rows), below it the
-# dense subset solve wins when two sweep threads share the cores
+# dimension up to which top_eigenpairs solves dense.  A threshold plus
+# ground solve of the unit corner at h = 0.5, on 2 vCPUs (medians of 11
+# wall times, dense against block Lanczos): on 290-row blocks 144 against
+# 95 ms in one thread, 135 against 218 ms with two threads each running the
+# pair, as in the sweep pool; on 400-row blocks 100 against 126 ms and 226
+# against 358 ms.  On the 752-row blocks of an n = 1504 corner solve the
+# eigensolves of the pair take 0.11 s with Lanczos and 0.35-0.39 s dense.
 DENSE_CUTOFF = 500
 _RESIDUAL_FACTOR = 1e-10
+# _lanczos_top: basis size, restart limit, the Ritz residual at which a pair
+# has converged (relative to |theta_1|, an order below the contract), and
+# the seed of the start block's extra columns
+_BASIS = 20
+_MAX_RESTARTS = 50
+_LANCZOS_TOL = 1e-11
+_LANCZOS_SEED = 0
+# a new basis vector is dropped when orthogonalization leaves less than
+# this share of its norm
+_DROP = 1e-8
 # entries per row chunk of a cross block that slope_form evaluates directly
 # (512 kB of float64)
 _CHUNK_ENTRIES = 1 << 16
@@ -102,7 +118,7 @@ _GOLDEN = 0.5 * (math.sqrt(5.0) - 1.0)
 
 class EigensolverError(RuntimeError):
     """An eigenpair missed the residual contract, after the dense retry if
-    ARPACK did not converge."""
+    block Lanczos did not converge."""
 
 
 @dataclass(frozen=True)
@@ -135,20 +151,6 @@ class Grid:
     @property
     def nodes(self):
         return -self.L + (np.arange(self.n) + 0.5) * self.h
-
-
-def q_kernel(curve, kappa, s, s2):
-    """Off-diagonal kernel value (1/2pi) K0(kappa |gamma(s) - gamma(s')|).
-
-    The diagonal is logarithmically singular; s == s2 raises ValueError
-    (assembly replaces it by the cell average, see diag_correction).
-    """
-    if kappa <= 0 or not math.isfinite(kappa):
-        raise ValueError("kappa must be positive and finite")
-    if s == s2:
-        raise ValueError("kernel is singular on the diagonal; use diag_correction")
-    rho = geometry.distance(curve, s, s2)
-    return bessel_k0(kappa * rho) / (2.0 * math.pi)
 
 
 def diag_correction(kappa, h):
@@ -427,14 +429,77 @@ def _dense_top(matrix, m):
     return vals[::-1], vecs[:, ::-1]
 
 
+def _lanczos_top(matrix, m, v0):
+    """Largest m eigenpairs (descending) by block thick-restart Lanczos, or
+    None when they have not converged after _MAX_RESTARTS restarts.
+
+    The start block is v0, or the constant vector when v0 is None, not of
+    shape (n,), zero or not finite, followed by m - 1 columns of a
+    fixed-seed generator: a single start vector that is even under a
+    symmetry of the matrix keeps the Krylov space even and misses odd
+    eigenvalues.  Each new block is orthogonalized twice against the whole
+    basis, of at most max(_BASIS, 3 m) vectors, and its images under the
+    matrix are kept, so the projected matrix and the Ritz residuals cost no
+    products beyond one per basis vector.  After each block comes
+    Rayleigh-Ritz on the projected matrix; the residuals of the wanted Ritz
+    pairs that are not yet below _LANCZOS_TOL |theta_1| form the next block.
+    In exact arithmetic they span the next block of the block Lanczos
+    recurrence.  A full basis restarts from the top half of its Ritz
+    vectors (Wu & Simon, SIAM J. Matrix Anal. Appl. 22, 2000), and the
+    residual block extends them.
+    """
+    n = matrix.shape[0]
+    size = max(_BASIS, 3 * m)
+    keep = size // 2
+    start = np.empty((n, m))
+    if (v0 is None or np.shape(v0) != (n,) or not np.all(np.isfinite(v0))
+            or not np.any(v0)):
+        v0 = np.ones(n)
+    start[:, 0] = v0
+    start[:, 1:] = np.random.default_rng(_LANCZOS_SEED).standard_normal((n, m - 1))
+    basis = np.empty((n, size))
+    image = np.empty((n, size))
+    used = 0
+    block = start
+    restarts = 0
+    while True:
+        first = used
+        for x in block.T:
+            norm = np.linalg.norm(x)
+            for _ in range(2):
+                x = x - basis[:, :used] @ (basis[:, :used].T @ x)
+            if np.linalg.norm(x) > _DROP * norm:
+                basis[:, used] = x / np.linalg.norm(x)
+                used += 1
+        if used == first:
+            return None  # the block lies in the basis to rounding
+        image[:, first:used] = matrix @ basis[:, first:used]
+        proj = basis[:, :used].T @ image[:, :used]
+        theta, y = scipy.linalg.eigh(0.5 * (proj + proj.T))
+        theta, y = theta[::-1], y[:, ::-1]
+        ritz = basis[:, :used] @ y[:, :m]
+        resid = image[:, :used] @ y[:, :m] - ritz * theta[:m]
+        open_ = np.linalg.norm(resid, axis=0) > _LANCZOS_TOL * abs(theta[0])
+        if not np.any(open_):
+            return theta[:m], ritz
+        block = resid[:, open_]
+        if used + block.shape[1] > size:
+            if restarts == _MAX_RESTARTS:
+                return None
+            restarts += 1
+            basis[:, :keep] = basis[:, :used] @ y[:, :keep]
+            image[:, :keep] = image[:, :used] @ y[:, :keep]
+            used = keep
+
+
 def top_eigenpairs(mat, m=1, v0=None):
     """Largest m eigenvalues (descending) and orthonormal eigenvectors.
 
-    Dense eigh of the top m pairs only up to DENSE_CUTOFF rows, ARPACK
-    largest-algebraic beyond, always with a deterministic start vector;
+    Dense eigh of the top m pairs only up to DENSE_CUTOFF rows, block
+    Lanczos (_lanczos_top) beyond, always with a deterministic start block;
     inside root-finding loops the previous eigenvector makes a good v0 and
-    cuts the iteration count.  When ARPACK does not converge the dense
-    solve takes over.
+    cuts the number of products with the matrix.  When Lanczos has not
+    converged after its restarts the dense solve takes over.
     Every returned pair must pass ||Mv - eta v|| <= 1e-10 ||M||; a miss
     raises EigensolverError.
     """
@@ -446,18 +511,10 @@ def top_eigenpairs(mat, m=1, v0=None):
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= {n}, got {m}")
 
-    if n <= DENSE_CUTOFF or m >= n - 1:
-        vals, vecs = _dense_top(matrix, m)
-    else:
-        if v0 is None or v0.shape != (n,):
-            v0 = np.full(n, 1.0 / math.sqrt(n))
-        try:
-            vals, vecs = scipy.sparse.linalg.eigsh(matrix, k=m, which="LA", v0=v0)
-        except scipy.sparse.linalg.ArpackNoConvergence:
-            vals, vecs = _dense_top(matrix, m)
-        else:
-            order = np.argsort(vals)[::-1]
-            vals, vecs = vals[order], vecs[:, order]
+    found = None
+    if n > DENSE_CUTOFF and m < n - 1:
+        found = _lanczos_top(matrix, m, v0)
+    vals, vecs = found if found is not None else _dense_top(matrix, m)
 
     scale = max(float(np.max(np.abs(vals))), np.finfo(float).tiny)
     resid = np.linalg.norm(matrix @ vecs - vecs * vals[None, :], axis=0)

@@ -153,7 +153,7 @@ class _Solver:
     """Shared state for root finding: one assembly and eigensolve per
     (kappa, level), remembered for the rest of the solve, its slope
     computed only when a Newton step asks for it, and the last eigenvector
-    of each block and level as the next ARPACK start vector.
+    of each block and level as the next Lanczos start vector.
 
     A geometry.mirror_symmetric curve is solved on the even and odd blocks
     of its matrix (bs_core.assemble with parities).  The ground state is the

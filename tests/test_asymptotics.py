@@ -23,11 +23,16 @@ from leakywire.asymptotics import (
     wiggle_kernel,
     wiggle_slope,
 )
-from leakywire.bs_core import Grid, assemble, q_kernel
-from leakywire.specfun import bessel_k1
+from leakywire.bs_core import Grid, assemble
+from leakywire.specfun import bessel_k0, bessel_k1
 from leakywire.spectrum import solve_all, solve_ground, solve_threshold
 
 SINGLE_CORNER_INTEGRAL = 1.0 / (6.0 * math.pi)
+
+
+def q_kernel(curve, kappa, s, s2):
+    """Off-diagonal kernel value (1/2pi) K0(kappa |gamma(s) - gamma(s')|)."""
+    return bessel_k0(kappa * geo.distance(curve, s, s2)) / (2.0 * math.pi)
 
 
 class TestAKernel:

@@ -13,7 +13,6 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse.linalg
 
 from leakywire import bs_core
 from leakywire import geometry as geo
@@ -23,7 +22,6 @@ from leakywire.bs_core import (
     Grid,
     assemble,
     diag_correction,
-    q_kernel,
     slope_form,
     top_eigenpairs,
     unfold,
@@ -96,21 +94,29 @@ class TestDiagCorrection:
 
 
 class TestQKernel:
+    """The kernel q as it enters M: h q(s_i, s_j) off the diagonal, on
+    two-node grids whose nodes sit at s = -L/2 and L/2."""
+
     def test_straight_reference(self):
         straight = geo.ScaledCurve(geo.CurveSpec(), 0.0)
-        assert q_kernel(straight, 1.0, 0.0, 1.0) == pytest.approx(
+        mat = assemble(straight, 1.0, Grid.uniform(1.0, 2))
+        assert mat[0, 1] == pytest.approx(
             0.42102443824070833 / (2.0 * math.pi), rel=1e-12)
 
     def test_bent_uses_chord(self, broken):
         sc = geo.ScaledCurve(broken, 1.0)
         rho = math.sqrt(2.0 + 2.0 * math.cos(1.0))
-        assert q_kernel(sc, 1.0, -1.0, 1.0) == pytest.approx(
-            bessel_k0(rho) / (2.0 * math.pi), rel=1e-12)
+        mat = assemble(sc, 1.0, Grid.uniform(2.0, 2))
+        assert mat[0, 1] == pytest.approx(
+            2.0 * bessel_k0(rho) / (2.0 * math.pi), rel=1e-12)
 
     def test_diagonal_rejected(self, broken):
+        # the singular q(s, s) never enters: the diagonal is the cell average
         sc = geo.ScaledCurve(broken, 1.0)
-        with pytest.raises(ValueError):
-            q_kernel(sc, 1.0, 0.5, 0.5)
+        mat = assemble(sc, 1.0, Grid.uniform(2.0, 2))
+        assert np.all(np.isfinite(mat))
+        assert np.diag(mat) == pytest.approx([2.0 * diag_correction(1.0, 2.0)] * 2,
+                                             rel=1e-15)
 
 
 class TestAssemble:
@@ -123,7 +129,8 @@ class TestAssemble:
             for j in (1, 5, 8):
                 if i == j:
                     continue
-                expect = h * q_kernel(sc, 0.8, grid.nodes[i], grid.nodes[j])
+                rho = geo.distance(sc, grid.nodes[i], grid.nodes[j])
+                expect = h * bessel_k0(0.8 * rho) / (2.0 * math.pi)
                 assert mat[i, j] == pytest.approx(expect, rel=1e-12)
         assert mat[4, 4] == pytest.approx(h * diag_correction(0.8, h), rel=1e-12)
 
@@ -470,7 +477,7 @@ def dense_reference(curve, kappa, grid, k0=bessel_k0):
 
 
 def jacobi_eigen(matrix, sweeps=30):
-    """Plain cyclic Jacobi rotations; slow, independent of LAPACK/ARPACK."""
+    """Plain cyclic Jacobi rotations; slow, independent of LAPACK."""
     a = matrix.copy()
     n = a.shape[0]
     for _ in range(sweeps):
@@ -506,12 +513,37 @@ class TestEigensolver:
         every, _ = top_eigenpairs(mat, len(mat))
         assert every == pytest.approx(ref, abs=1e-12 * ref[0])
 
-    def test_dense_and_arpack_agree(self, broken):
-        sc = geo.ScaledCurve(broken, 1.0)
-        mat = assemble(sc, 0.55, Grid.uniform(40.0, DENSE_CUTOFF + 40))
-        vals_arpack, _ = top_eigenpairs(mat, 2)
-        vals_dense = np.linalg.eigvalsh(mat)[::-1][:2]
-        assert vals_arpack == pytest.approx(vals_dense, rel=1e-10)
+    @pytest.mark.parametrize("case", ["mirror_pair", "near_degenerate",
+                                      "folded_warm"])
+    def test_krylov_matches_subset_eigh(self, case, broken):
+        # above DENSE_CUTOFF, against the dense solve of the same pairs:
+        # the unit corner's centrosymmetric matrix from the default even
+        # start, whose second pair is odd; twin corners 80 apart, whose top
+        # pair is 7e-5 apart relative; the folded n = 1504 even block,
+        # warm-started from the eigenvector of a neighbouring kappa
+        corner = geo.ScaledCurve(broken, 1.0)
+        v0 = None
+        if case == "mirror_pair":
+            m, mat = 2, assemble(corner, 0.55, Grid.uniform(40.0, DENSE_CUTOFF + 40))
+        elif case == "near_degenerate":
+            twin = geo.CurveSpec(vertices=(geo.Vertex(-40.0, 1.2),
+                                           geo.Vertex(40.0, 1.2)))
+            m, mat = 2, assemble(geo.ScaledCurve(twin, 1.0), 0.55,
+                                 Grid.uniform(80.0, DENSE_CUTOFF + 100))
+        else:
+            grid = Grid.uniform(60.0, 1504)
+            near, = assemble(corner, 0.55, grid, parities=(1,))
+            _, warm = top_eigenpairs(near, 1)
+            v0 = warm[:, 0]
+            m, (mat,) = 1, assemble(corner, 0.56, grid, parities=(1,))
+        n = len(mat)
+        assert n > DENSE_CUTOFF
+        vals, vecs = top_eigenpairs(mat, m, v0=v0)
+        ref_vals, ref_vecs = scipy.linalg.eigh(mat, subset_by_index=[n - m, n - 1])
+        assert vals == pytest.approx(ref_vals[::-1], rel=1e-10)
+        # eigenvectors agree up to sign
+        overlap = np.abs(np.sum(vecs * ref_vecs[:, ::-1], axis=0))
+        assert overlap == pytest.approx(np.ones(m), abs=1e-10)
 
     def test_descending_order(self, zigzag):
         sc = geo.ScaledCurve(zigzag, 1.0)
@@ -526,21 +558,36 @@ class TestEigensolver:
         v2, w2 = top_eigenpairs(mat, 1, v0=w1[:, 0])
         assert v2[0] == pytest.approx(v1[0], rel=1e-12)
 
-    def test_arpack_failure_falls_back_to_dense(self, broken, monkeypatch):
+    def test_krylov_failure_falls_back_to_dense(self, broken, monkeypatch):
         sc = geo.ScaledCurve(broken, 1.0)
         mat = assemble(sc, 0.55, Grid.uniform(40.0, DENSE_CUTOFF + 40))
-
-        def no_convergence(*args, **kwargs):
-            raise scipy.sparse.linalg.ArpackNoConvergence("forced", [], [])
-
-        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", no_convergence)
+        # no restart allowed: Lanczos stops unconverged when its basis fills
+        monkeypatch.setattr(bs_core, "_MAX_RESTARTS", 0)
+        assert bs_core._lanczos_top(mat, 2, None) is None
+        dense = []
+        real = bs_core._dense_top
+        monkeypatch.setattr(bs_core, "_dense_top",
+                            lambda *args: dense.append(args) or real(*args))
         vals, vecs = top_eigenpairs(mat, 2)
+        assert len(dense) == 1
         n = len(mat)
         ref_vals, ref_vecs = scipy.linalg.eigh(mat, subset_by_index=[n - 2, n - 1])
         assert vals == pytest.approx(ref_vals[::-1], rel=1e-12)
         # eigenvectors agree up to sign
         overlap = np.abs(np.sum(vecs * ref_vecs[:, ::-1], axis=0))
         assert overlap == pytest.approx([1.0, 1.0], abs=1e-10)
+
+    def test_bad_start_vector_takes_default(self, broken):
+        # a zero or non-finite v0 would divide by zero: the default start
+        # is used instead, with the same result
+        sc = geo.ScaledCurve(broken, 1.0)
+        mat = assemble(sc, 0.55, Grid.uniform(40.0, DENSE_CUTOFF + 40))
+        vals, vecs = top_eigenpairs(mat, 1)
+        n = len(mat)
+        for bad in (np.zeros(n), np.full(n, np.nan), np.r_[np.inf, np.ones(n - 1)]):
+            got_vals, got_vecs = top_eigenpairs(mat, 1, v0=bad)
+            assert np.array_equal(got_vals, vals)
+            assert np.array_equal(got_vecs, vecs)
 
     def test_bad_input(self):
         with pytest.raises(ValueError):
