@@ -81,12 +81,13 @@ __all__ = [
 ]
 
 # dimension up to which top_eigenpairs solves dense.  A threshold plus
-# ground solve of the unit corner at h = 0.5, on 2 vCPUs (medians of 11
-# wall times, dense against block Lanczos): on 290-row blocks 144 against
-# 95 ms in one thread, 135 against 218 ms with two threads each running the
-# pair, as in the sweep pool; on 400-row blocks 100 against 126 ms and 226
-# against 358 ms.  On the 752-row blocks of an n = 1504 corner solve the
-# eigensolves of the pair take 0.11 s with Lanczos and 0.35-0.39 s dense.
+# ground solve of the unit corner at h = 0.5, on 2 vCPUs (medians of 15
+# alternating wall times, dense against block Lanczos): on 290-row blocks
+# 107 against 121 ms in the main thread and 184 against 235 ms with two
+# pool threads each running the pair, as in the sweep pool; on 400-row
+# blocks 190 against 186 ms and 276 against 368 ms.  On the 752-row blocks
+# of an n = 1504 corner solve the eigensolves of the pair take 0.11 s with
+# Lanczos and 0.35-0.39 s dense.
 DENSE_CUTOFF = 500
 _RESIDUAL_FACTOR = 1e-10
 # _lanczos_top: basis size, restart limit, the Ritz residual at which a pair
@@ -451,16 +452,14 @@ def _lanczos_top(matrix, m, v0):
     n = matrix.shape[0]
     size = max(_BASIS, 3 * m)
     keep = size // 2
-    start = np.empty((n, m))
     if (v0 is None or np.shape(v0) != (n,) or not np.all(np.isfinite(v0))
             or not np.any(v0)):
         v0 = np.ones(n)
-    start[:, 0] = v0
-    start[:, 1:] = np.random.default_rng(_LANCZOS_SEED).standard_normal((n, m - 1))
+    rng = np.random.default_rng(_LANCZOS_SEED)
+    block = np.column_stack((v0, rng.standard_normal((n, m - 1))))
     basis = np.empty((n, size))
     image = np.empty((n, size))
     used = 0
-    block = start
     restarts = 0
     while True:
         first = used
