@@ -24,7 +24,6 @@ from .spectrum import (NoBoundState, SpectralResult, eta, solve_all,
 from .asymptotics import (
     a_coefficient,
     a_kernel,
-    broken_line_reduced_integral,
     predicted_gap,
     wiggle_kernel,
     wiggle_slope,
@@ -37,6 +36,5 @@ __all__ = [
     "Grid", "assemble", "diag_correction", "top_eigenpairs",
     "NoBoundState", "SpectralResult", "eta", "solve_all", "solve_ground",
     "solve_threshold",
-    "a_coefficient", "a_kernel", "broken_line_reduced_integral",
-    "predicted_gap", "wiggle_kernel", "wiggle_slope",
+    "a_coefficient", "a_kernel", "predicted_gap", "wiggle_kernel", "wiggle_slope",
 ]

@@ -47,7 +47,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
 from . import geometry
@@ -57,10 +56,8 @@ from .specfun import bessel_k1
 
 __all__ = [
     "AsymptoticCoefficient",
-    "ReducedIntegral",
     "a_coefficient",
     "a_kernel",
-    "broken_line_reduced_integral",
     "predicted_eigenvalue",
     "predicted_gap",
     "wiggle_kernel",
@@ -113,6 +110,11 @@ def a_coefficient(curve, alpha, rel_tol=1e-5):
     added to the cubature error in error_estimate.  Raises NumericalError
     when the cubature does not converge.
     """
+    # imported here, not with the module: it pulls in scipy.optimize,
+    # scipy.sparse, scipy.fft and scipy.spatial, about 0.3 s of a cold
+    # start that only the coefficient commands need
+    import scipy.integrate
+
     if isinstance(curve, geometry.ScaledCurve):
         raise ValueError("a_coefficient expects the unscaled CurveSpec")
     lo, hi = curve.support
@@ -170,27 +172,6 @@ def predicted_gap(coefficient, beta):
 def predicted_eigenvalue(coefficient, beta):
     """-alpha^2/4 - predicted gap."""
     return -0.25 * coefficient.alpha**2 - predicted_gap(coefficient, beta)
-
-
-@dataclass(frozen=True)
-class ReducedIntegral:
-    """Factorized single-corner integral: product = radial * angular = 2/3."""
-
-    radial: float
-    angular: float
-    product: float
-
-
-def broken_line_reduced_integral():
-    """Quadrature of the two elementary factors the single-corner coefficient
-    reduces to; exact values 2 and 1/3."""
-    radial, _ = scipy.integrate.quad(lambda t: t * t * bessel_k1(t), 0.0, 40.0,
-                                     epsabs=1e-13, epsrel=1e-12, limit=200)
-    angular, _ = scipy.integrate.quad(
-        lambda p: math.sin(2.0 * p) / (math.cos(p) + math.sin(p)) ** 4,
-        0.0, 0.5 * math.pi, epsabs=1e-13, epsrel=1e-12)
-    return ReducedIntegral(radial=float(radial), angular=float(angular),
-                           product=float(radial * angular))
 
 
 def wiggle_kernel(curve, alpha, kappa, s, s2):

@@ -393,27 +393,30 @@ class ValidationReport:
 
 
 def _chord_ratio(sc, s, s2):
-    d = abs(s - s2)
-    if d < 1e-9:
-        return 1.0
-    return distance(sc, s, s2) / d
+    """|gamma(s) - gamma(s2)| / |s - s2| elementwise, 1 where |s - s2| < 1e-9."""
+    d = np.abs(s - s2)
+    near = d < 1e-9
+    return np.where(near, 1.0, distance(sc, s, s2) / np.where(near, 1.0, d))
 
 
 def _golden(f, a, b, iters=40):
+    """Golden-section minimisation of the vectorised f on the brackets
+    [a, b], all stepped in lockstep: each element takes exactly the steps
+    a scalar search on its own bracket would."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - inv * (b - a)
     x2 = a + inv * (b - a)
     f1, f2 = f(x1), f(x2)
     for _ in range(iters):
-        if f1 <= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - inv * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + inv * (b - a)
-            f2 = f(x2)
-    return (x1, f1) if f1 <= f2 else (x2, f2)
+        left = f1 <= f2
+        a = np.where(left, a, x1)
+        b = np.where(left, x2, b)
+        x_new = np.where(left, b - inv * (b - a), a + inv * (b - a))
+        f_new = f(x_new)
+        x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
+        f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
+    left = f1 <= f2
+    return np.where(left, x1, x2), np.where(left, f1, f2)
 
 
 def validate(curve, beta=1.0, floor=1e-3):
@@ -442,26 +445,18 @@ def validate(curve, beta=1.0, floor=1e-3):
     ds = np.abs(samples[:, None] - samples[None, :])
     ratio = np.where(ds > 1e-9, rho / np.where(ds > 1e-9, ds, 1.0), 1.0)
 
-    flat = np.argsort(ratio, axis=None)
-    best = math.inf
-    best_pair = (samples[0], samples[-1])
-    seen = 0
-    for idx in flat:
-        i, j = np.unravel_index(idx, ratio.shape)
-        if i >= j:
-            continue
-        seen += 1
-        if seen > 6:
-            break
-        si, sj = float(samples[i]), float(samples[j])
-        gap_i = max(abs(si) * 0.5, span / 4.0)
-        for _ in range(_REFINE_ROUNDS):
-            si, _ = _golden(lambda x: _chord_ratio(sc, x, sj), si - gap_i, si + gap_i)
-            sj, _ = _golden(lambda x: _chord_ratio(sc, si, x), sj - gap_i, sj + gap_i)
-        val = _chord_ratio(sc, si, sj)
-        if val < best:
-            best = val
-            best_pair = (si, sj)
+    # the six worst pairs, i < j, polished together
+    i, j = np.unravel_index(np.argsort(ratio, axis=None), ratio.shape)
+    upper = np.flatnonzero(i < j)[:6]
+    si, sj = samples[i[upper]], samples[j[upper]]
+    gap = np.maximum(np.abs(si) * 0.5, span / 4.0)
+    for _ in range(_REFINE_ROUNDS):
+        si, _ = _golden(lambda x: _chord_ratio(sc, x, sj), si - gap, si + gap)
+        sj, _ = _golden(lambda x: _chord_ratio(sc, si, x), sj - gap, sj + gap)
+    vals = _chord_ratio(sc, si, sj)
+    k = int(np.argmin(vals))
+    best = float(vals[k])
+    best_pair = (float(si[k]), float(sj[k]))
 
     phi = total_bending(sc)
     tail = abs(math.cos(0.5 * phi))

@@ -1,11 +1,14 @@
 import json
 import math
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
+import scipy.integrate
 
 from leakywire import geometry
+from leakywire.specfun import bessel_k1
 
 
 @pytest.fixture(scope="session")
@@ -34,6 +37,29 @@ def twin_corners():
     """Two well separated 1.2 rad corners; binds a two-level doublet."""
     return geometry.CurveSpec(vertices=(geometry.Vertex(-20.0, 1.2),
                                         geometry.Vertex(20.0, 1.2)))
+
+
+@dataclass(frozen=True)
+class ReducedIntegral:
+    """Factorized single-corner integral: product = radial * angular = 2/3."""
+
+    radial: float
+    angular: float
+    product: float
+
+
+@pytest.fixture(scope="session")
+def reduced_integral():
+    """Oracle of the single-corner coefficient: quadrature of the two
+    elementary factors its double integral reduces to, exact values 2 and 1/3
+    (see the leakywire.asymptotics docstring)."""
+    radial, _ = scipy.integrate.quad(lambda t: t * t * bessel_k1(t), 0.0, 40.0,
+                                     epsabs=1e-13, epsrel=1e-12, limit=200)
+    angular, _ = scipy.integrate.quad(
+        lambda p: math.sin(2.0 * p) / (math.cos(p) + math.sin(p)) ** 4,
+        0.0, 0.5 * math.pi, epsabs=1e-13, epsrel=1e-12)
+    return ReducedIntegral(radial=float(radial), angular=float(angular),
+                           product=float(radial * angular))
 
 
 @pytest.fixture

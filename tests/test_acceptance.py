@@ -19,7 +19,6 @@ from leakywire import geometry as geo
 from leakywire.asymptotics import (
     a_coefficient,
     a_kernel,
-    broken_line_reduced_integral,
     wiggle_slope,
 )
 from leakywire.bs_core import Grid, assemble
@@ -76,8 +75,8 @@ def test_criterion_2_straight_line(request):
     assert unbound
 
 
-def test_criterion_3_corner_coefficient(request, broken):
-    red = broken_line_reduced_integral()
+def test_criterion_3_corner_coefficient(request, broken, reduced_integral):
+    red = reduced_integral
     coef = a_coefficient(broken, 1.0)
     red_err = abs(abs(red.product) - 2.0 / 3.0)
     int_err = abs(coef.integral / (1.0 / (6.0 * math.pi)) - 1.0)

@@ -17,7 +17,6 @@ from leakywire.asymptotics import (
     AsymptoticCoefficient,
     a_coefficient,
     a_kernel,
-    broken_line_reduced_integral,
     predicted_eigenvalue,
     predicted_gap,
     wiggle_kernel,
@@ -128,8 +127,8 @@ class TestCoefficient:
 
 
 class TestReducedIntegral:
-    def test_factors(self):
-        red = broken_line_reduced_integral()
+    def test_factors(self, reduced_integral):
+        red = reduced_integral
         assert red.radial == pytest.approx(2.0, rel=1e-9)
         assert red.angular == pytest.approx(1.0 / 3.0, rel=1e-9)
         assert red.product == pytest.approx(2.0 / 3.0, abs=1e-6)

@@ -220,6 +220,25 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["ok"] is True
 
+    def test_cold_import_leaves_out_integrate(self):
+        # a fresh interpreter, since the test modules load scipy.integrate
+        # themselves; only the coefficient commands need it
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, leakywire, leakywire.cli; "
+             "print(sorted({'scipy.integrate', 'scipy.optimize'} & set(sys.modules)))"],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_coef_loads_integrate_on_use(self, corner_file):
+        proc = subprocess.run(
+            [sys.executable, "-m", "leakywire", "coef", "--curve", corner_file],
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["integral"] == pytest.approx(
+            1 / (6 * math.pi), rel=1e-3)
+
     def test_closed_stdout_is_quiet(self, corner_file):
         # as in `leakywire solve ... | head`: the reader is gone before the
         # payload is printed

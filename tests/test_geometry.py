@@ -242,6 +242,86 @@ class TestValidate:
             geo.ScaledCurve(broken, math.pi + 1e-9)
 
 
+def scalar_validate(curve, beta):
+    """validate()'s chord constant and worst pair with the six worst pairs
+    polished one at a time by a scalar golden-section search; the reference
+    for the lockstep polish."""
+    def ratio_at(s, s2):
+        d = abs(s - s2)
+        return 1.0 if d < 1e-9 else geo.distance(sc, s, s2) / d
+
+    def golden(f, a, b, iters=40):
+        inv = (math.sqrt(5.0) - 1.0) / 2.0
+        x1 = b - inv * (b - a)
+        x2 = a + inv * (b - a)
+        f1, f2 = f(x1), f(x2)
+        for _ in range(iters):
+            if f1 <= f2:
+                b, x2, f2 = x2, x1, f1
+                x1 = b - inv * (b - a)
+                f1 = f(x1)
+            else:
+                a, x1, f1 = x1, x2, f2
+                x2 = a + inv * (b - a)
+                f2 = f(x2)
+        return x1 if f1 <= f2 else x2
+
+    sc = geo.ScaledCurve(curve, beta)
+    lo, hi = curve.support
+    span = max(hi - lo, 1.0)
+    inner = np.linspace(lo - 2.0 * span, hi + 2.0 * span, geo._N_INNER)
+    ladder = span * np.geomspace(4.0, 1000.0, 12)
+    samples = np.unique(np.concatenate([inner, lo - ladder, hi + ladder]))
+    pts = geo.point(sc, samples)
+    diff = pts[:, None, :] - pts[None, :, :]
+    rho = np.sqrt(np.sum(diff * diff, axis=-1))
+    ds = np.abs(samples[:, None] - samples[None, :])
+    ratio = np.where(ds > 1e-9, rho / np.where(ds > 1e-9, ds, 1.0), 1.0)
+
+    best, best_pair, seen = math.inf, None, 0
+    for idx in np.argsort(ratio, axis=None):
+        i, j = np.unravel_index(idx, ratio.shape)
+        if i >= j:
+            continue
+        seen += 1
+        if seen > 6:
+            break
+        si, sj = float(samples[i]), float(samples[j])
+        gap = max(abs(si) * 0.5, span / 4.0)
+        for _ in range(geo._REFINE_ROUNDS):
+            si = golden(lambda x: ratio_at(x, sj), si - gap, si + gap)
+            sj = golden(lambda x: ratio_at(si, x), sj - gap, sj + gap)
+        val = ratio_at(si, sj)
+        if val < best:
+            best, best_pair = val, (si, sj)
+    return min(best, abs(math.cos(0.5 * geo.total_bending(sc)))), best_pair
+
+
+# curves beside the conftest fixtures; the 3.1 rad corner is the 1.55 rad
+# hairpin of TestValidate
+OWN_CURVES = {"hairpin": geo.CurveSpec(vertices=(geo.Vertex(0.0, 3.1),)),
+              "straight": geo.CurveSpec(), "mixed": MIXED}
+
+
+class TestValidateMatchesScalarPolish:
+    @pytest.mark.parametrize("beta", [0.5, 1.0, 1.2])
+    @pytest.mark.parametrize("name", ["broken", "zigzag", "twin_corners", "hairpin",
+                                      "straight", "mixed"])
+    def test_same_report(self, request, name, beta):
+        curve = OWN_CURVES[name] if name in OWN_CURVES else request.getfixturevalue(name)
+        if name == "hairpin" and beta > 1.0:
+            # 1.2 * 3.1 rad is no corner: both refuse the curve
+            with pytest.raises(ValueError):
+                geo.validate(curve, beta=beta)
+            with pytest.raises(ValueError):
+                scalar_validate(curve, beta)
+            return
+        rep = geo.validate(curve, beta=beta)
+        chord_constant, worst_pair = scalar_validate(curve, beta)
+        assert rep.chord_constant == chord_constant
+        assert rep.worst_pair == worst_pair
+
+
 class TestJsonFormat:
     def test_round_trip(self, zigzag):
         text = json.dumps(geo.curve_to_dict(zigzag))
