@@ -400,9 +400,9 @@ def _chord_ratio(sc, s, s2):
 
 
 def _golden(f, a, b, iters=40):
-    """Golden-section minimisation of the vectorised f on the brackets
-    [a, b], all stepped in lockstep: each element takes exactly the steps
-    a scalar search on its own bracket would."""
+    """Minimisers of the vectorised f on the brackets [a, b] by golden-section
+    search, all stepped in lockstep: each element takes exactly the steps a
+    scalar search on its own bracket would."""
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = b - inv * (b - a)
     x2 = a + inv * (b - a)
@@ -415,8 +415,7 @@ def _golden(f, a, b, iters=40):
         f_new = f(x_new)
         x1, x2 = np.where(left, x_new, x2), np.where(left, x1, x_new)
         f1, f2 = np.where(left, f_new, f2), np.where(left, f1, f_new)
-    left = f1 <= f2
-    return np.where(left, x1, x2), np.where(left, f1, f2)
+    return np.where(f1 <= f2, x1, x2)
 
 
 def validate(curve, beta=1.0, floor=1e-3):
@@ -451,8 +450,8 @@ def validate(curve, beta=1.0, floor=1e-3):
     si, sj = samples[i[upper]], samples[j[upper]]
     gap = np.maximum(np.abs(si) * 0.5, span / 4.0)
     for _ in range(_REFINE_ROUNDS):
-        si, _ = _golden(lambda x: _chord_ratio(sc, x, sj), si - gap, si + gap)
-        sj, _ = _golden(lambda x: _chord_ratio(sc, si, x), sj - gap, sj + gap)
+        si = _golden(lambda x: _chord_ratio(sc, x, sj), si - gap, si + gap)
+        sj = _golden(lambda x: _chord_ratio(sc, si, x), sj - gap, sj + gap)
     vals = _chord_ratio(sc, si, sj)
     k = int(np.argmin(vals))
     best = float(vals[k])
