@@ -5,13 +5,12 @@ operator on the curve."""
 
 __version__ = "0.1.0"
 
-from .specfun import bessel_k0, bessel_k1, k0_prime
+from .specfun import bessel_k0, bessel_k1
 from .geometry import (
     CurvatureSegment,
     CurveSpec,
     ScaledCurve,
     Vertex,
-    bending,
     curve_from_json,
     distance,
     point,
@@ -19,8 +18,8 @@ from .geometry import (
     validate,
 )
 from .bs_core import Grid, assemble, diag_correction, top_eigenpairs
-from .spectrum import (NoBoundState, SpectralResult, eta, solve_all,
-                       solve_ground, solve_threshold)
+from .spectrum import (NoBoundState, SpectralResult, solve_all, solve_ground,
+                       solve_threshold)
 from .asymptotics import (
     a_coefficient,
     a_kernel,
@@ -30,11 +29,11 @@ from .asymptotics import (
 )
 
 __all__ = [
-    "bessel_k0", "bessel_k1", "k0_prime",
+    "bessel_k0", "bessel_k1",
     "CurvatureSegment", "CurveSpec", "ScaledCurve", "Vertex",
-    "bending", "curve_from_json", "distance", "point", "total_bending", "validate",
+    "curve_from_json", "distance", "point", "total_bending", "validate",
     "Grid", "assemble", "diag_correction", "top_eigenpairs",
-    "NoBoundState", "SpectralResult", "eta", "solve_all", "solve_ground",
+    "NoBoundState", "SpectralResult", "solve_all", "solve_ground",
     "solve_threshold",
     "a_coefficient", "a_kernel", "predicted_gap", "wiggle_kernel", "wiggle_slope",
 ]

@@ -21,18 +21,17 @@ import sys
 
 from . import __version__, geometry
 from .asymptotics import a_coefficient, predicted_eigenvalue, predicted_gap
-from .bs_core import EigensolverError, Grid
+from .bs_core import EigensolverError
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    auto_grid,
+    anchored_solve,
     config_from_json,
     convergence,
-    presolve_delta,
     sweep_beta,
     sweep_phi,
 )
-from .spectrum import NumericalError, solve_all, solve_threshold
+from .spectrum import NumericalError
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -116,36 +115,17 @@ def cmd_validate(args):
 
 
 def cmd_solve(args):
-    curve = _load_curve(args.curve)
-    scaled = geometry.ScaledCurve(curve, args.beta)
-    cfg = ExperimentConfig(curve=curve, alpha=args.alpha, n=args.n or 0,
-                           L=args.L or 0.0, tol=args.tol or 0.0, maxk=args.maxk)
-    if cfg.n > 0 and cfg.L > 0:
-        grid = Grid.uniform(cfg.L, cfg.n)
-    else:
-        delta = presolve_delta(scaled, args.alpha, cfg)
-        if delta is None:
-            _emit({"no_bound_state": True, "alpha": args.alpha,
-                   "beta": args.beta}, args)
-            return EXIT_OK
-        grid = auto_grid(cfg, delta)
-    thr = solve_threshold(args.alpha, grid, cfg.tol_or_none())
-    results = solve_all(scaled, args.alpha, grid, maxk=args.maxk,
-                        tol=cfg.tol_or_none(), kappa_floor=thr)
-    if not results:
-        _emit({"no_bound_state": True, "alpha": args.alpha, "beta": args.beta,
-               "kappa_threshold": thr,
-               "grid": {"L": grid.L, "n": grid.n}}, args)
-        return EXIT_OK
-    levels = []
-    for r in results:
-        d = r.to_dict()
-        d["gap_corrected"] = r.kappa**2 - thr**2
-        levels.append(d)
-    payload = {"alpha": args.alpha, "beta": args.beta,
-               "kappa_threshold": thr,
-               "grid": {"L": grid.L, "n": grid.n},
-               "levels": levels}
+    cfg = _build_config(args)
+    rec = anchored_solve(cfg, geometry.ScaledCurve(cfg.curve, args.beta), cfg.maxk)
+    payload = {"outcome": rec.outcome, "alpha": cfg.alpha, "beta": args.beta}
+    if rec.outcome == "no_bound_state":
+        payload["no_bound_state"] = True
+    if rec.grid is not None:
+        payload.update(kappa_threshold=rec.kappa_threshold,
+                       grid={"L": rec.grid.L, "n": rec.grid.n})
+    if rec.levels:
+        payload["levels"] = [dict(r.to_dict(), gap_corrected=gap)
+                             for r, gap in zip(rec.levels, rec.gaps)]
     _emit(payload, args)
     return EXIT_OK
 
@@ -208,6 +188,10 @@ def build_parser():
                         help="interaction strength (default 1)")
         sp.add_argument("--tol", type=float, default=None,
                         help="root-finding tolerance on kappa")
+        sp.add_argument("--n", type=int, default=None,
+                        help="grid points (omit or <= 0 for automatic sizing)")
+        sp.add_argument("--L", type=float, default=None,
+                        help="grid half-length (omit or <= 0 for automatic sizing)")
 
     sp = sub.add_parser("validate", help="check a curve file")
     add_curve(sp)
@@ -220,14 +204,8 @@ def build_parser():
 
     sp = sub.add_parser("solve", help="bound states of one scaled curve")
     add_curve(sp)
-    sp.add_argument("--alpha", type=float, default=1.0)
+    add_common(sp)
     sp.add_argument("--beta", type=float, default=1.0)
-    sp.add_argument("--n", type=int, default=None,
-                    help="grid points (omit or <= 0 for automatic sizing)")
-    sp.add_argument("--L", type=float, default=None,
-                    help="grid half-length (omit or <= 0 for automatic sizing)")
-    sp.add_argument("--tol", type=float, default=None,
-                    help="root-finding tolerance on kappa")
     sp.add_argument("--maxk", type=int, default=1,
                     help="number of levels to report")
     sp.add_argument("--json", help="also write the result to this file")
@@ -251,10 +229,6 @@ def build_parser():
         sp.add_argument("--decay-multiplier", type=float, default=None,
                         dest="decay_multiplier")
         sp.add_argument("--n-cap", type=int, default=None, dest="n_cap")
-        sp.add_argument("--n", type=int, default=None,
-                        help="grid points (omit or <= 0 for automatic sizing)")
-        sp.add_argument("--L", type=float, default=None,
-                        help="grid half-length (omit or <= 0 for automatic sizing)")
         sp.add_argument("--workers", type=int, default=None)
         sp.add_argument("--out", help="report path prefix (.json/.csv/.dat)")
 

@@ -50,7 +50,6 @@ __all__ = [
     "ScaledCurve",
     "ValidationReport",
     "Vertex",
-    "bending",
     "bending_bracket",
     "breaks",
     "broken_line",
@@ -306,15 +305,6 @@ def tangent_angle(curve, s):
     table, r = _region(curve, s)
     out = table.psi[r] + table.curv[r] * (s - table.start[r])
     return float(out) if out.ndim == 0 else out
-
-
-def bending(curve, s, s2):
-    """Integrated bending from arc length s to s2 (signed, antisymmetric).
-
-    Counts vertex turns strictly between the endpoints plus the one sitting
-    exactly at the lower endpoint, and integrates curvature over the interval.
-    """
-    return float(tangent_angle(curve, s2) - tangent_angle(curve, s))
 
 
 def total_bending(curve):

@@ -14,9 +14,14 @@ The harness turns the solver stack into repeatable experiments:
   convergence  the same solve at (h, L), (h/2, L), (h, 2L), (h/2, 2L) with a
                difference-based error estimate and extrapolation.
 
-Grids are sized automatically from the predicted decay rate: L =
-decay_multiplier / delta_est and n = nodes_per_unit * 2L (capped), where
-delta_est comes from the quartic prediction or from a coarse pre-solve.
+All three, and the CLI's solve, run one pipeline, anchored_solve: grid,
+same-grid threshold, levels anchored at it.  An automatic L is
+decay_multiplier / delta, with n = nodes_per_unit * 2L (capped); the decay
+rate delta is the positive quartic prediction in sweep_beta and comes from a
+coarse presolve (presolve_delta) elsewhere, run only when L is automatic.
+Explicit n and L override.  Outcomes: "bound_state", "no_bound_state"
+(nothing binds above the threshold) and "below_resolvable_gap" (the
+presolve's gap is within its root tolerance of zero).
 Reports serialize deterministically (stable key order, fixed row order); the
 generated_at stamp is the only field that varies between identical runs.
 Sweep points can run on a small thread pool; LEAKYWIRE_MAX_WORKERS caps it.
@@ -28,7 +33,7 @@ import datetime
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,9 +43,11 @@ from .bs_core import Grid
 from .spectrum import NoBoundState, NumericalError, solve_all, solve_ground, solve_threshold
 
 __all__ = [
+    "AnchoredSolve",
     "ConfigError",
     "ExperimentConfig",
     "SweepReport",
+    "anchored_solve",
     "auto_grid",
     "config_from_json",
     "convergence",
@@ -160,7 +167,7 @@ def max_workers(config=None, njobs=1):
     return max(1, min(want, njobs))
 
 
-def auto_grid(config, delta_est, span=None):
+def auto_grid(config, delta_est):
     """Grid from the decay estimate: L = multiplier/delta, n = 2L*density.
 
     Explicit config.n / config.L win.  L never drops below a few units or
@@ -170,12 +177,11 @@ def auto_grid(config, delta_est, span=None):
     """
     alpha = config.alpha
     lo, hi = config.curve.support
-    span = (hi - lo) if span is None else span
     auto_L = config.L <= 0
     if auto_L:
         delta = max(float(delta_est), 1e-8)
         L = config.decay_multiplier / delta
-        L = max(L, 10.0 / alpha, 2.0 * span + 4.0 / alpha)
+        L = max(L, 10.0 / alpha, 2.0 * (hi - lo) + 4.0 / alpha)
         L = min(L, 5e4 / alpha)
     else:
         L = config.L
@@ -191,15 +197,16 @@ def auto_grid(config, delta_est, span=None):
     return Grid.uniform(L, n)
 
 
-def presolve_delta(curve_scaled, alpha, config):
+def presolve_delta(curve_scaled, alpha):
     """Coarse threshold-anchored solve to estimate the decay rate.
 
-    Returns sqrt(kappa*^2 - kappa_thr^2) on a cheap grid, or None when the
-    anchored margin is nonpositive or the gap is within the root-finding
-    tolerance of zero.  Both root solves run at tolerance 1e-5 alpha on
-    kappa, so gaps below a few alpha^2 * 1e-5 cannot be told apart from an
-    unbound curve here; resolving such states needs an explicit grid and
-    tolerance.
+    Returns (sqrt(kappa*^2 - kappa_thr^2), None) from a cheap grid, or
+    (None, outcome): "no_bound_state" when the anchored margin is
+    nonpositive, "below_resolvable_gap" when the gap is within the
+    root-finding tolerance of zero.  Both root solves run at tolerance
+    1e-5 alpha on kappa, so gaps below a few alpha^2 * 1e-5 cannot be told
+    apart from an unbound curve here; resolving such states needs an
+    explicit grid and tolerance.
     """
     lo, hi = curve_scaled.base.support
     span = hi - lo
@@ -211,11 +218,74 @@ def presolve_delta(curve_scaled, alpha, config):
     rough = solve_ground(curve_scaled, alpha, grid, tol=tol_pre,
                          kappa_floor=thr)
     if isinstance(rough, NoBoundState):
-        return None
+        return None, "no_bound_state"
     gap = rough.kappa**2 - thr**2
     if gap <= 4.0 * alpha * tol_pre:
-        return None
-    return math.sqrt(gap)
+        return None, "below_resolvable_gap"
+    return math.sqrt(gap), None
+
+
+@dataclass(frozen=True)
+class AnchoredSolve:
+    """Outcome, grid, same-grid threshold and levels of one anchored solve,
+    and the root tolerance of the levels (None: the default).  grid and
+    kappa_threshold are None when the solve ended before a grid was chosen;
+    levels is empty unless outcome is "bound_state"."""
+
+    outcome: str
+    grid: Grid | None = None
+    kappa_threshold: float | None = None
+    levels: tuple = ()
+    tol: float | None = None
+
+    @property
+    def gaps(self):
+        """Corrected gaps kappa^2 - kappa_thr^2, one per level."""
+        return [lv.kappa**2 - self.kappa_threshold**2 for lv in self.levels]
+
+
+def anchored_solve(config, scaled, maxk, delta_est=None, thresholds=None):
+    """Up to maxk levels of one scaled curve, anchored at the same-grid
+    threshold, on the grid config asks for.
+
+    An automatic L (config.L <= 0) is sized from delta_est, or from
+    presolve_delta when none is given; an explicit L needs no estimate.
+    thresholds, when given, is the caller's cache of thresholds by (L, n).
+    Racing on it from pool threads is harmless: both would store the same
+    deterministic value, one solve is just wasted.
+    """
+    alpha = config.alpha
+    if not geometry.breaks(scaled).size:
+        # the straight line binds nothing; anchored at its own threshold a
+        # solve would only find that threshold again
+        return AnchoredSolve("no_bound_state")
+    if config.L <= 0 and delta_est is None:
+        delta_est, outcome = presolve_delta(scaled, alpha)
+        if delta_est is None:
+            return AnchoredSolve(outcome)
+    grid = auto_grid(config, delta_est)
+    tol = config.tol_or_none()
+    thresholds = {} if thresholds is None else thresholds
+    key = (grid.L, grid.n)
+    if key not in thresholds:
+        thresholds[key] = solve_threshold(alpha, grid, tol)
+    thr = thresholds[key]
+    levels = tuple(solve_all(scaled, alpha, grid, maxk=maxk, tol=tol,
+                             kappa_floor=thr))
+    return AnchoredSolve("bound_state" if levels else "no_bound_state",
+                         grid, thr, levels, tol)
+
+
+def _bound(rec, what):
+    """rec if it resolved a level; NumericalError naming its outcome if not."""
+    if not rec.levels:
+        raise NumericalError(f"{what}: {rec.outcome}")
+    return rec
+
+
+def _level_row(res):
+    return {"kappa": res.kappa, "lambda": res.eigenvalue,
+            "residual": res.residual, "kappa_error": res.kappa_error}
 
 
 def fit_power_law(x, y):
@@ -304,57 +374,34 @@ def _stamp():
     return datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
 
 
-def _solve_beta_point(config, coef, beta, threshold_cache):
+def _beta_row(config, coef, beta, thresholds):
     alpha = config.alpha
-    scaled = geometry.ScaledCurve(config.curve, beta)
     gap_pred = predicted_gap(coef, beta)
-    delta_est = math.sqrt(gap_pred) if gap_pred > 0 else None
-    if delta_est is None:
-        delta_est = presolve_delta(scaled, alpha, config)
-    if delta_est is None:
-        return {"beta": beta, "outcome": "no_bound_state"}
-    grid = auto_grid(config, delta_est)
-
-    key = (grid.L, grid.n)
-    if key not in threshold_cache:
-        threshold_cache[key] = solve_threshold(alpha, grid, config.tol_or_none())
-    kappa_thr = threshold_cache[key]
-
-    res = solve_ground(scaled, alpha, grid, config.tol_or_none(),
-                       kappa_floor=kappa_thr)
-    if isinstance(res, NoBoundState):
-        return {"beta": beta, "outcome": "no_bound_state",
-                "L": grid.L, "n": grid.n, "margin": res.margin}
-    gap_raw = res.kappa**2 - 0.25 * alpha * alpha
-    gap_corr = res.kappa**2 - kappa_thr**2
-    return {
-        "beta": beta,
-        "outcome": "bound_state",
-        "kappa": res.kappa,
-        "lambda": res.eigenvalue,
-        "gap_raw": gap_raw,
-        "gap_corrected": gap_corr,
-        "gap_predicted": gap_pred,
-        "kappa_threshold": kappa_thr,
-        "residual": res.residual,
-        "kappa_error": res.kappa_error,
-        "L": grid.L,
-        "n": grid.n,
-    }
+    rec = anchored_solve(config, geometry.ScaledCurve(config.curve, beta), 1,
+                         math.sqrt(gap_pred) if gap_pred > 0 else None,
+                         thresholds)
+    row = {"beta": beta, "outcome": rec.outcome}
+    if rec.grid is not None:
+        row.update(L=rec.grid.L, n=rec.grid.n)
+    if rec.levels:
+        res, = rec.levels
+        row.update(_level_row(res), gap_raw=res.kappa**2 - 0.25 * alpha * alpha,
+                   gap_corrected=rec.gaps[0], gap_predicted=gap_pred,
+                   kappa_threshold=rec.kappa_threshold)
+    return row
 
 
 def sweep_beta(config):
     """Gap versus beta with bias-corrected gaps and a power-law fit."""
     coef = a_coefficient(config.curve, config.alpha)
-    threshold_cache = {}
+    thresholds = {}
 
-    # thresholds are cached per grid; racing on the cache is harmless: both
-    # threads would store the same deterministic value, one solve is just
-    # wasted.  map keeps the rows in input order.
+    # rows on a shared grid share one threshold solve; map keeps the rows in
+    # input order
     workers = max_workers(config, len(config.beta_list))
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         rows = list(pool.map(
-            lambda beta: _solve_beta_point(config, coef, beta, threshold_cache),
+            lambda beta: _beta_row(config, coef, beta, thresholds),
             config.beta_list))
 
     fitted = [r for r in rows if r.get("outcome") == "bound_state"]
@@ -386,18 +433,9 @@ def sweep_phi(config):
     """
     alpha = config.alpha
     base = geometry.to_wiggle_frame(config.curve)
-    scaled = geometry.ScaledCurve(base, 1.0)
-
-    delta_est = presolve_delta(scaled, alpha, config)
-    if delta_est is None:
-        raise NumericalError("unperturbed curve has no resolved bound state")
-    grid = auto_grid(config, delta_est)
-    thr = solve_threshold(alpha, grid, config.tol_or_none())
-
-    levels = solve_all(scaled, alpha, grid, maxk=config.maxk,
-                       tol=config.tol_or_none(), kappa_floor=thr)
-    if not levels:
-        raise NumericalError("no levels resolved on the final grid")
+    rec = _bound(anchored_solve(config, geometry.ScaledCurve(base, 1.0), config.maxk),
+                 "unperturbed curve has no resolved level")
+    grid, thr, levels = rec.grid, rec.kappa_threshold, rec.levels
 
     # group near-degenerate neighbours into clusters for the slope prediction
     clusters = [[levels[0]]]
@@ -417,12 +455,9 @@ def sweep_phi(config):
         if phi != 0.0:
             wig = geometry.with_wiggle(base, phi)
             res = solve_all(geometry.ScaledCurve(wig, 1.0), alpha, grid,
-                            maxk=len(levels), tol=config.tol_or_none(),
-                            kappa_floor=thr)
+                            maxk=len(levels), tol=rec.tol, kappa_floor=thr)
         for r in res:
-            rows.append({"phi": phi, "level": r.level, "lambda": r.eigenvalue,
-                         "kappa": r.kappa, "residual": r.residual,
-                         "kappa_error": r.kappa_error})
+            rows.append({"phi": phi, "level": r.level, **_level_row(r)})
 
     slopes = []
     for k, lv in enumerate(levels, start=1):
@@ -430,9 +465,7 @@ def sweep_phi(config):
         entry = {"level": k, "lambda0": lv.eigenvalue,
                  "slope_predicted": predicted[k - 1] if k - 1 < len(predicted) else None}
         if len(pts) >= 2:
-            px = np.array([p[0] for p in pts])
-            py = np.array([p[1] for p in pts])
-            b, a = np.polyfit(px, py, 1)
+            b, _ = np.polyfit(*np.array(pts).T, 1)
             entry["slope_fitted"] = float(b)
             if entry["slope_predicted"]:
                 entry["slope_ratio"] = float(b) / entry["slope_predicted"]
@@ -453,37 +486,28 @@ def sweep_phi(config):
 def convergence(config, beta):
     """Solve at (h, L), (h/2, L), (h, 2L), (h/2, 2L) and extrapolate.
 
-    The base grid comes from the usual sizing (or explicit n/L).  Differences
-    against the refined grids give heuristic error bars; the reported
-    extrapolation adds the h-difference once more to the finest value.
+    The base grid comes from the usual sizing (or explicit n/L); the other
+    rungs are explicit grids.  Differences against the refined grids give
+    heuristic error bars; the reported extrapolation adds the h-difference
+    once more to the finest value.
     """
-    alpha = config.alpha
     scaled = geometry.ScaledCurve(config.curve, beta)
-    coef_delta = presolve_delta(scaled, alpha, config)
-    if coef_delta is None:
-        raise NumericalError("no bound state to track in the convergence study")
-    base = auto_grid(config, coef_delta)
-    L, n = base.L, base.n
+    base = _bound(anchored_solve(config, scaled, 1),
+                  "nothing to track in the convergence study")
+    L, n = base.grid.L, base.grid.n
 
     combos = [("h,L", L, n), ("h/2,L", L, 2 * n),
               ("h,2L", 2.0 * L, 2 * n), ("h/2,2L", 2.0 * L, 4 * n)]
     rows = []
-    values = {}
-    gaps = {}
     for label, Lc, nc in combos:
-        g = Grid.uniform(Lc, nc)
-        thr = solve_threshold(alpha, g, config.tol_or_none())
-        res = solve_ground(scaled, alpha, g, config.tol_or_none(),
-                           kappa_floor=thr)
-        if isinstance(res, NoBoundState):
-            raise NumericalError(f"bound state lost on grid {label}")
-        values[label] = res.eigenvalue
-        gaps[label] = res.kappa**2 - thr**2
-        rows.append({"grid": label, "L": Lc, "n": nc,
-                     "lambda": res.eigenvalue, "kappa": res.kappa,
-                     "kappa_threshold": thr, "gap_corrected": gaps[label],
-                     "residual": res.residual,
-                     "kappa_error": res.kappa_error})
+        rec = base if label == "h,L" else _bound(
+            anchored_solve(replace(config, L=Lc, n=nc), scaled, 1),
+            f"bound state lost on grid {label}")
+        rows.append({"grid": label, "L": Lc, "n": nc, **_level_row(rec.levels[0]),
+                     "kappa_threshold": rec.kappa_threshold,
+                     "gap_corrected": rec.gaps[0]})
+    values = {row["grid"]: row["lambda"] for row in rows}
+    gaps = {row["grid"]: row["gap_corrected"] for row in rows}
 
     dh = values["h/2,2L"] - values["h,2L"]
     dL = values["h/2,2L"] - values["h/2,L"]
@@ -497,7 +521,7 @@ def convergence(config, beta):
         "gap_L_difference": gaps["h/2,2L"] - gaps["h/2,L"],
         "gap_extrapolated": gaps["h/2,2L"] + (gaps["h/2,2L"] - gaps["h,2L"]),
     }
-    return SweepReport(kind="convergence", alpha=alpha,
+    return SweepReport(kind="convergence", alpha=config.alpha,
                        curve=geometry.curve_to_dict(config.curve),
                        rows=tuple(rows), fit=None, extras=extras,
                        generated_at=_stamp())

@@ -31,8 +31,3 @@ def bessel_k0(x):
 def bessel_k1(x):
     """K1(x) for x > 0.  Same domain and shape rules as bessel_k0."""
     return _evaluate(scipy.special.k1, x)
-
-
-def k0_prime(x):
-    """Derivative K0'(x) = -K1(x); strictly negative on the domain."""
-    return -bessel_k1(x)

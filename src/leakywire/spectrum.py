@@ -26,8 +26,7 @@ evaluating K0 only on the entries the curve's pieces do not repeat.  A
 mirror-symmetric curve (geometry.mirror_symmetric, read from its piece
 table) is solved on the even and odd half-size blocks of its matrix
 instead, which is exact: the ground state needs the even block alone, and
-the returned eigenfunction is unfolded to all n nodes.  eta always solves
-the full matrix and serves as the reference.
+the returned eigenfunction is unfolded to all n nodes.
 """
 
 import math
@@ -42,7 +41,6 @@ __all__ = [
     "NoBoundState",
     "NumericalError",
     "SpectralResult",
-    "eta",
     "solve_all",
     "solve_ground",
     "solve_threshold",
@@ -250,13 +248,6 @@ def _default_tol(alpha, tol):
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be positive and finite, got {tol}")
     return float(tol)
-
-
-def eta(curve, kappa, grid, j=1):
-    """j-th largest eigenvalue of the kernel matrix at spectral parameter kappa."""
-    mat = assemble(curve, kappa, grid)
-    vals, _ = top_eigenpairs(mat, j)
-    return float(vals[j - 1])
 
 
 def solve_ground(curve, alpha, grid, tol=None, kappa_floor=None):

@@ -8,7 +8,15 @@ import pytest
 import scipy.integrate
 
 from leakywire import geometry
+from leakywire.bs_core import assemble, top_eigenpairs
 from leakywire.specfun import bessel_k1
+
+
+def eta(curve, kappa, grid, j=1):
+    """j-th largest eigenvalue of the full kernel matrix at spectral parameter
+    kappa: the unfolded reference for the solver's mirror-symmetric blocks."""
+    vals, _ = top_eigenpairs(assemble(curve, kappa, grid), j)
+    return float(vals[j - 1])
 
 
 @pytest.fixture(scope="session")

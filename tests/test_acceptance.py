@@ -14,6 +14,7 @@ import os
 
 import numpy as np
 import pytest
+from conftest import eta
 
 from leakywire import geometry as geo
 from leakywire.asymptotics import (
@@ -26,7 +27,6 @@ from leakywire.harness import ExperimentConfig, fit_power_law, sweep_beta
 from leakywire.specfun import bessel_k0, bessel_k1
 from leakywire.spectrum import (
     NoBoundState,
-    eta,
     solve_ground,
     solve_threshold,
 )

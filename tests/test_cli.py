@@ -12,6 +12,7 @@ import sys
 
 import pytest
 
+from leakywire import harness
 from leakywire.cli import EXIT_INVALID, EXIT_NUMERICAL, EXIT_OK, main
 
 BROKEN = '{"segments": [], "vertices": [{"s": 0.0, "angle": 1.0}]}'
@@ -97,6 +98,27 @@ class TestSolve:
                                      "--beta", "0.0"])
         assert rc == EXIT_OK
         assert data["no_bound_state"] is True
+        assert data["outcome"] == "no_bound_state"
+
+    def test_straight_line_explicit_grid(self, tmp_path, capsys):
+        # anchored at its own threshold, a solve of the straight line would
+        # find that threshold again as a level
+        path = tmp_path / "straight.json"
+        path.write_text(STRAIGHT)
+        rc, data = run_json(capsys, ["solve", "--curve", str(path),
+                                     "--n", "400", "--L", "60"])
+        assert rc == EXIT_OK
+        assert data["outcome"] == "no_bound_state"
+        assert "levels" not in data
+
+    def test_weak_bend_below_resolvable_gap(self, corner_file, capsys):
+        # the presolve's gap (about 8e-6) is under its 4e-5 cut: not resolved,
+        # which is not the same as no bound state
+        rc, data = run_json(capsys, ["solve", "--curve", corner_file,
+                                     "--beta", "0.05"])
+        assert rc == EXIT_OK
+        assert data["outcome"] == "below_resolvable_gap"
+        assert "no_bound_state" not in data and "levels" not in data
 
     def test_tol_zero_is_default(self, corner_file, capsys):
         # 0 selects the default tolerance, as in the sweep commands
@@ -209,6 +231,53 @@ class TestSweeps:
         # the flag replaced the config's beta list; grid still from config
         assert [row["beta"] for row in data["rows"]] == [1.1]
         assert data["rows"][0]["n"] == 300
+
+
+@pytest.fixture()
+def presolves(monkeypatch):
+    """Arguments of every harness.presolve_delta call."""
+    calls = []
+    real = harness.presolve_delta
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(harness, "presolve_delta", spy)
+    return calls
+
+
+class TestPresolveRule:
+    """The decay-rate presolve runs only when L is automatic and no quartic
+    prediction sizes the grid."""
+
+    def test_explicit_L_sizes_n_without_presolve(self, corner_file, capsys,
+                                                 presolves):
+        rc, data = run_json(capsys, ["solve", "--curve", corner_file,
+                                     "--L", "60"])
+        assert rc == EXIT_OK
+        assert presolves == []
+        assert data["grid"] == {"L": 60.0, "n": 960}
+        assert data["outcome"] == "bound_state"
+
+    @pytest.mark.parametrize("argv, count", [
+        (["sweep-phi", "--curve", "zigzag", "--phis=-0.04,0,0.04",
+          "--n", "300", "--L", "40"], 0),
+        (["converge", "--curve", "corner", "--n", "200", "--L", "30"], 0),
+        (["sweep-phi", "--curve", "zigzag", "--phis=0",
+          "--nodes-per-unit", "1", "--n-cap", "200"], 1),
+        (["sweep-beta", "--curve", "corner", "--betas", "1.0",
+          "--nodes-per-unit", "1", "--n-cap", "200", "--workers", "1"], 0),
+    ], ids=["sweep_phi_explicit", "converge_explicit", "sweep_phi_automatic",
+            "sweep_beta_quartic"])
+    def test_presolve_count(self, tmp_path, capsys, presolves, argv, count):
+        for name, text in (("corner", BROKEN), ("zigzag", ZIGZAG)):
+            (tmp_path / name).write_text(text)
+        argv = [str(tmp_path / a) if a in ("corner", "zigzag") else a
+                for a in argv]
+        rc, _ = run_json(capsys, argv)
+        assert rc == EXIT_OK
+        assert len(presolves) == count
 
 
 class TestConsoleScript:

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from leakywire.specfun import bessel_k0, bessel_k1, k0_prime
+from leakywire.specfun import bessel_k0, bessel_k1
 
 
 def test_k0_against_reference(bessel_table):
@@ -86,11 +86,6 @@ def test_domain_errors():
             bessel_k1(bad)
     with pytest.raises(ValueError):
         bessel_k0(np.array([1.0, -1.0]))
-
-
-def test_k0_prime_is_minus_k1():
-    xs = np.geomspace(1e-3, 50.0, 40)
-    assert np.allclose(k0_prime(xs), -bessel_k1(xs), rtol=0, atol=0)
 
 
 def test_derivative_consistency():

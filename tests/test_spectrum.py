@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import eta
 
 from leakywire import geometry as geo
 from leakywire import spectrum
@@ -16,7 +17,6 @@ from leakywire.bs_core import Grid, assemble, top_eigenpairs
 from leakywire.spectrum import (
     NoBoundState,
     SpectralResult,
-    eta,
     solve_all,
     solve_ground,
     solve_threshold,
