@@ -96,8 +96,13 @@ class ExperimentConfig:
         for beta in self.beta_list:
             if beta == 0.0 or not math.isfinite(beta):
                 raise ConfigError(f"beta {beta} must be nonzero and finite")
+        for name in ("L", "nodes_per_unit", "decay_multiplier"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name}={getattr(self, name)} is not finite")
         if self.nodes_per_unit <= 0 or self.decay_multiplier <= 0:
             raise ConfigError("grid policy values must be positive")
+        if self.n_cap < 2:
+            raise ConfigError(f"n_cap must be at least 2, got {self.n_cap}")
         if self.maxk < 1:
             raise ConfigError(f"maxk must be at least 1, got {self.maxk}")
         if not (self.tol == 0.0 or 0.0 < self.tol < math.inf):
@@ -145,7 +150,11 @@ def config_from_json(text, base_dir="."):
             kwargs[key] = float(data[key])
     for key in ("n_cap", "n", "maxk", "workers"):
         if key in data:
-            kwargs[key] = int(data[key])
+            value = data[key]
+            if not (isinstance(value, int)
+                    or isinstance(value, float) and value.is_integer()):
+                raise ConfigError(f"{key} must be an integer, got {value!r}")
+            kwargs[key] = int(value)
     for key in ("beta_list", "phi_list"):
         if key in data:
             if not isinstance(data[key], list):

@@ -7,20 +7,26 @@ eta_j(kappa) is strictly decreasing in kappa (the kappa-derivative of the
 kernel matrix is negative definite: it is built from the function
 |z| K1(kappa |z|), whose 2-d Fourier transform is positive), so every level
 is the single root of g_j(kappa) = alpha * eta_j(kappa) - 1 over
-(alpha/2, kappa_hi].  It is found by safeguarded Newton steps (Ruhe, SIAM J.
-Numer. Anal. 10, 1973) from the exact slope g_j' = alpha v^T (dM/dkappa) v
-of the unit eigenvector v (Hellmann-Feynman, bs_core.slope_form), starting
-at the search floor.  The last correction |g/g'| is returned with each root
-as its error bar.
+(alpha/2, kappa_hi].  It is found by safeguarded steps from the exact slope
+g_j' = alpha v^T (dM/dkappa) v of the unit eigenvector v (Hellmann-Feynman,
+bs_core.slope_form), starting at the search floor: each step goes to the
+root of the cubic Hermite interpolant of kappa(g_j) through the two
+evaluated points nearest the root, of order 1 + sqrt 3 (Traub, Iterative
+Methods for the Solution of Equations, 1964), with Newton's step (Ruhe,
+SIAM J. Numer. Anal. 10, 1973) and bisection as fallbacks.  The last
+Newton correction |g/g'| is returned with each root as its error bar.
 
 No bound state is an outcome, not an error: when g_1 is already negative just
 above threshold the grid resolves nothing below the essential spectrum and
 solve_ground returns a NoBoundState value.  The straight line always takes
 that path.
 
-Each (kappa, level) pair is assembled and solved at most once per solve,
-and its slope is computed only when a Newton step needs it, after the
-eigensolve has freed the matrix.
+Each kappa is assembled and solved at most once per solve, for every level
+still in play: one evaluation at the search floor gives all margins, the
+unbound levels drop out there, and each later evaluation gives the top
+pairs of the bound levels and, after the eigensolve has freed the matrix,
+one slope pass their slopes.  So an evaluation made for one level is a free
+interpolation point for the others.
 Every step rebuilds the matrix; bs_core.assemble keeps that cheap by
 evaluating K0 only on the entries the curve's pieces do not repeat.  A
 mirror-symmetric curve (geometry.mirror_symmetric, read from its piece
@@ -109,12 +115,30 @@ class SpectralResult:
         }
 
 
-def _newton(g, slope, x, lo, hi, tol):
+def _hermite_root(a, b):
+    """Zero of the cubic Hermite interpolant of the inverse function
+    kappa(g) through two points (kappa, (g, g')), g' < 0 and g distinct at
+    the two: kappa and its derivative 1/g' match at both.  Its order is
+    1 + sqrt 3 (Traub, Iterative Methods for the Solution of Equations,
+    1964)."""
+    (xa, (ga, da)), (xb, (gb, db)) = a, b
+    span = gb - ga
+    t = -ga / span
+    return (xa + t * t * (3.0 - 2.0 * t) * (xb - xa)
+            + span * t * (t - 1.0) * ((t - 1.0) / da + t / db))
+
+
+def _newton(g, slope, x, lo, hi, tol, known=()):
     """Root of the decreasing function g inside [lo, hi] by safeguarded
-    Newton steps from x; returns the last evaluated kappa and |g/g'| there,
+    Hermite steps from x; returns the last evaluated kappa and |g/g'| there,
     once that correction is below tol/2, or the width of the closed bracket
     if that fell below tol/2 first.
 
+    known holds points already evaluated elsewhere, whose g and slope cost
+    nothing more; they count as evaluated.  Each step goes to the root of
+    the cubic Hermite interpolant of kappa(g) through the two evaluated
+    points with the smallest |g| (_hermite_root), or, from the first point
+    or when that root leaves the bracket, to the Newton step from x.
     The bracket moves to each evaluated point, onto the side its sign puts
     it; a step that leaves the bracket bisects it instead.  An end never
     evaluated is only assumed to have its side's sign: when the bracket
@@ -124,12 +148,23 @@ def _newton(g, slope, x, lo, hi, tol):
     and falls short of it by a relative O(correction) from below.
     """
     ends, seen = [lo, hi], [False, False]
+    points = {}  # kappa -> (g, g') of every evaluated point with g' < 0
+
+    def visit(y):
+        gy = g(y)
+        if gy != 0.0 and ends[0] <= y <= ends[1]:
+            side = 0 if gy > 0.0 else 1
+            ends[side], seen[side] = y, True
+        return gy
+
+    for y in known:
+        gy, dg = visit(y), slope(y)
+        if dg < 0.0:
+            points[y] = gy, dg
     for _ in range(_MAX_STEPS):
-        gx = g(x)
+        gx = visit(x)
         if gx == 0.0:
             return x, 0.0
-        side = 0 if gx > 0.0 else 1
-        ends[side], seen[side] = x, True
         dg = slope(x)
         correction = -gx / dg if dg < 0.0 else math.inf
         if abs(correction) < 0.5 * tol:
@@ -139,25 +174,32 @@ def _newton(g, slope, x, lo, hi, tol):
                 raise NumericalError(
                     f"no sign change between kappa = {lo:.6g} and {hi:.6g}")
             return x, ends[1] - ends[0]
-        x += correction
-        if not ends[0] < x < ends[1]:
-            x = 0.5 * (ends[0] + ends[1])
+        if dg < 0.0:
+            points[x] = gx, dg
+        steps = [x + correction]
+        best = sorted(points.items(), key=lambda item: abs(item[1][0]))[:2]
+        if len(best) == 2 and best[0][1][0] != best[1][1][0]:
+            steps.insert(0, _hermite_root(*best))
+        x = next((y for y in steps if ends[0] < y < ends[1]),
+                 0.5 * (ends[0] + ends[1]))
     raise NumericalError(
-        f"Newton iteration on [{lo:.10g}, {hi:.10g}] did not converge "
+        f"root search on [{lo:.10g}, {hi:.10g}] did not converge "
         f"in {_MAX_STEPS} steps")
 
 
 class _Solver:
-    """Shared state for root finding: one assembly and eigensolve per
-    (kappa, level), remembered for the rest of the solve, its slope
-    computed only when a Newton step asks for it, and the last eigenvector
-    of each block and level as the next Lanczos start vector.
+    """Shared state for root finding, keyed by kappa alone.  One assembly
+    and eigensolve at a kappa give the top pairs of every level in play,
+    1 .. levels, and one slope_form pass their slopes, computed only when a
+    root step asks for one.  Both are remembered for the rest of the solve,
+    and the last top eigenvector of each block is the next Lanczos start
+    vector.
 
     A geometry.mirror_symmetric curve is solved on the even and odd blocks
     of its matrix (bs_core.assemble with parities).  The ground state is the
     Perron vector of the positive matrix M, which is even, so level 1 needs
-    the even block alone; level j is the j-th of the merged top values of
-    the two blocks, at most j of them even and j - 1 odd.
+    the even block alone; the top m levels are the top m of the merged
+    values of the two blocks, at most m of them even and m - 1 odd.
     """
 
     def __init__(self, curve, alpha, grid, kappa_floor=None):
@@ -172,29 +214,36 @@ class _Solver:
             raise ValueError("kappa_floor must lie in (0, 2 alpha)")
         self.floor = float(kappa_floor)
         self.mirror = geometry.mirror_symmetric(curve)
+        self.levels = 1
         self._warm = {}
         self._pairs = {}
         self._slopes = {}
 
+    def _top(self, kappa, m):
+        """The top m (eta, unit eigenvector) pairs at kappa, descending."""
+        if self.mirror:
+            parities = (1, -1) if m > 1 else (1,)
+            blocks = assemble(self.curve, kappa, self.grid, parities=parities)
+        else:
+            parities, blocks = (None,), [assemble(self.curve, kappa, self.grid)]
+        found = []
+        for parity, mat in zip(parities, blocks):
+            count = min(m - 1 if parity == -1 else m, len(mat))
+            vals, vecs = top_eigenpairs(mat, count, v0=self._warm.get(parity))
+            self._warm[parity] = vecs[:, 0]
+            found += [(float(val), parity, vecs[:, i]) for i, val in enumerate(vals)]
+        found.sort(key=lambda pair: -pair[0])
+        return [(val, vec if parity is None else unfold(vec, self.grid.n, parity))
+                for val, parity, vec in found[:m]]
+
     def eigen(self, kappa, j):
-        key = (float(kappa), j)
-        if key not in self._pairs:
-            if self.mirror:
-                parities = (1, -1) if j > 1 else (1,)
-                blocks = assemble(self.curve, kappa, self.grid, parities=parities)
-            else:
-                parities, blocks = (None,), [assemble(self.curve, kappa, self.grid)]
-            found = []
-            for parity, mat in zip(parities, blocks):
-                m = j - 1 if parity == -1 else j
-                vals, vecs = top_eigenpairs(mat, m, v0=self._warm.get((parity, m)))
-                self._warm[(parity, m)] = vecs[:, 0]
-                found += [(val, parity, vecs[:, i]) for i, val in enumerate(vals)]
-            val, parity, vec = sorted(found, key=lambda pair: -pair[0])[j - 1]
-            if parity is not None:
-                vec = unfold(vec, self.grid.n, parity)
-            self._pairs[key] = float(val), vec
-        return self._pairs[key]
+        """(eta_j, unit eigenvector) at kappa, from the one evaluation there
+        of levels 1 .. max(j, levels)."""
+        kappa = float(kappa)
+        pairs = self._pairs.get(kappa, ())
+        if len(pairs) < j:
+            pairs = self._pairs[kappa] = self._top(kappa, max(j, self.levels))
+        return pairs[j - 1]
 
     def g(self, kappa, j):
         val, _ = self.eigen(kappa, j)
@@ -202,25 +251,32 @@ class _Solver:
 
     def slope(self, kappa, j):
         """g_j'(kappa) = alpha v^T (dM/dkappa) v from the unit eigenvector
-        of eigen(kappa, j) (Hellmann-Feynman), once per (kappa, level)."""
-        key = (float(kappa), j)
-        if key not in self._slopes:
-            _, vec = self.eigen(kappa, j)
-            form = slope_form(self.curve, kappa, self.grid, vec[:, None])
-            self._slopes[key] = self.alpha * float(form[0, 0])
-        return self._slopes[key]
+        of eigen(kappa, j) (Hellmann-Feynman).  One slope_form pass at a
+        kappa gives levels j .. max(j, levels): levels are solved in order,
+        so those below j need no slope any more."""
+        kappa = float(kappa)
+        known = self._slopes.setdefault(kappa, {})
+        if j not in known:
+            wanted = range(j, max(j, self.levels) + 1)
+            vecs = np.column_stack([self.eigen(kappa, i)[1] for i in wanted])
+            form = slope_form(self.curve, kappa, self.grid, vecs)
+            known.update(zip(wanted, (self.alpha * np.diag(form)).tolist()))
+        return known[j]
 
     def kappa_lo(self):
         return self.floor * (1.0 + _KAPPA_LO_SHIFT)
 
     def root(self, j, tol, start, lo, hi):
-        """Level j's kappa and its error bar by _newton from start."""
+        """Level j's kappa and its error bar by _newton from start; every
+        kappa evaluated so far with level j's slope counts as known."""
+        known = [kappa for kappa, slopes in self._slopes.items() if j in slopes]
         return _newton(lambda kappa: self.g(kappa, j),
-                       lambda kappa: self.slope(kappa, j), start, lo, hi, tol)
+                       lambda kappa: self.slope(kappa, j), start, lo, hi, tol,
+                       known)
 
     def level(self, j, tol):
         """Level j's SpectralResult; g_j(kappa_lo()) > 0 must already hold.
-        Newton steps start at kappa_lo(), which brackets the root from
+        Root steps start at kappa_lo(), which brackets the root from
         below, and stop at the floor plus 64 alpha."""
         lo = self.kappa_lo()
         kappa, error = self.root(j, tol, lo, lo,
@@ -291,11 +347,15 @@ def solve_all(curve, alpha, grid, maxk=8, tol=None, cluster_tol=None,
     if cluster_tol is None:
         cluster_tol = DEFAULT_CLUSTER_TOL * alpha * alpha
 
-    results = []
-    for j in range(1, int(maxk) + 1):
-        if solver.g(solver.kappa_lo(), j) <= 0.0:
-            break
-        results.append(solver.level(j, tol))
+    # one evaluation at the floor gives every margin; the unbound levels
+    # drop out before any step, so later evaluations ask only for the rest
+    lo = solver.kappa_lo()
+    solver.levels = min(int(maxk), grid.n)
+    bound = 0
+    while bound < solver.levels and solver.g(lo, bound + 1) > 0.0:
+        bound += 1
+    solver.levels = bound
+    results = [solver.level(j, tol) for j in range(1, bound + 1)]
 
     flagged = list(results)
     for i in range(len(results) - 1):

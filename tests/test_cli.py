@@ -219,6 +219,23 @@ class TestSweeps:
         assert exc.value.code == 2
         assert "empty number list" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry, names", [
+        ('"n_cap": 0', "n_cap"),
+        ('"L": 1e400', "L=inf"),
+        ('"nodes_per_unit": 1e400', "nodes_per_unit=inf"),
+    ], ids=["n_cap_zero", "L_overflow", "nodes_per_unit_overflow"])
+    def test_bad_config_value_exits_invalid(self, tmp_path, capsys, entry, names):
+        # unchecked, these reach auto_grid as a division by zero or as inf
+        # rounded to a node count, and end in a traceback
+        (tmp_path / "corner.json").write_text(BROKEN)
+        cfg_path = tmp_path / "exp.json"
+        cfg_path.write_text('{"curve_file": "corner.json", "beta_list": [1.0], '
+                            + entry + "}")
+        rc = main(["sweep-beta", "--config", str(cfg_path), "--workers", "1"])
+        assert rc == EXIT_INVALID
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and names in err
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         (tmp_path / "corner.json").write_text(BROKEN)
         cfg = {"curve_file": "corner.json", "beta_list": [1.0],

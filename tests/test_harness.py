@@ -72,6 +72,32 @@ class TestConfig:
         with pytest.raises(ConfigError):
             config_from_json(text)
 
+    @pytest.mark.parametrize("key, value, match", [
+        ("n_cap", 0, "n_cap"),
+        ("n_cap", 1, "n_cap"),
+        ("L", "1e400", "L=inf"),
+        ("L", "NaN", "L=nan"),
+        ("nodes_per_unit", "1e400", "nodes_per_unit=inf"),
+        ("decay_multiplier", "1e400", "decay_multiplier=inf"),
+        ("n", 3.7, "n must be an integer"),
+        ("n_cap", 800.5, "n_cap must be an integer"),
+        ("maxk", 1.5, "maxk must be an integer"),
+        ("workers", 2.5, "workers must be an integer"),
+        ("n", "1e400", "n must be an integer"),
+        ("maxk", '"2"', "maxk must be an integer"),
+    ])
+    def test_from_json_rejects_value(self, key, value, match):
+        # 1e400 parses as inf, which no grid can use; a fractional count is
+        # refused, not truncated
+        text = f'{{"curve": {BROKEN_JSON}, "{key}": {value}}}'
+        with pytest.raises(ConfigError, match=match):
+            config_from_json(text)
+
+    def test_from_json_integral_float_count(self):
+        cfg = config_from_json(f'{{"curve": {BROKEN_JSON}, "n": 300.0, "maxk": 2}}')
+        assert (cfg.n, cfg.maxk) == (300, 2)
+        assert isinstance(cfg.n, int)
+
     def test_validation(self, broken):
         with pytest.raises(ConfigError):
             make_config(broken, alpha=-1.0)

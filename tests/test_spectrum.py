@@ -108,29 +108,54 @@ class TestRootFinding:
                 assembled.append(kappa) or real_assemble(curve, kappa, grid, **kw))
         res = spectrum.solve_ground(sc, 1.0, grid)
         assert isinstance(res, SpectralResult)
-        # the margin check, then Newton steps; the result adds none
-        assert len(set(assembled)) == len(assembled) <= 4
+        # the margin check, then root steps; the result adds none
+        assert len(set(assembled)) == len(assembled) <= 3
         assembled.clear()
         spectrum.solve_threshold(1.0, grid)
         assert len(set(assembled)) == len(assembled) <= 4
 
     def test_no_slope_at_failing_margin_check(self, monkeypatch):
-        # one bound level: level 2's margin check fails and needs no slope
+        # one bound level: level 2's margin comes from the evaluation at
+        # the floor that level 1 starts from, so its failing check costs no
+        # assembly and no slope, and later evaluations ask for level 1 alone
         sc = geo.ScaledCurve(geo.broken_line(1.5), 1.0)
         grid = Grid.uniform(30.0, 300)
-        events = []
+        assembled, slopes = [], []
         real_assemble, real_slope = spectrum.assemble, spectrum.slope_form
         monkeypatch.setattr(
             spectrum, "assemble",
-            lambda curve, kappa, grid, **kw:
-                events.append("assemble") or real_assemble(curve, kappa, grid, **kw))
+            lambda curve, kappa, grid, parities=None:
+                assembled.append((kappa, parities))
+                or real_assemble(curve, kappa, grid, parities))
         monkeypatch.setattr(
             spectrum, "slope_form",
-            lambda *args: events.append("slope") or real_slope(*args))
+            lambda curve, kappa, grid, vecs:
+                slopes.append((kappa, vecs.shape[1]))
+                or real_slope(curve, kappa, grid, vecs))
         levels = solve_all(sc, 1.0, grid, maxk=2)
         assert len(levels) == 1
-        assert events[-1] == "assemble"
-        assert events.count("slope") == events.count("assemble") - 1
+        kappas = [kappa for kappa, _ in assembled]
+        assert kappas[0] == spectrum._Solver(sc, 1.0, grid).kappa_lo()
+        assert len(set(kappas)) == len(kappas)
+        # both blocks once, at the floor; the even block alone after it
+        assert [p for _, p in assembled] == [(1, -1)] + [(1,)] * (len(kappas) - 1)
+        # one single-column slope pass per evaluated kappa, all for level 1
+        assert slopes == [(kappa, 1) for kappa in kappas]
+
+    def test_levels_share_evaluations(self, twin_corners, monkeypatch):
+        # the wiggle frame breaks the mirror symmetry, so every evaluation
+        # is one full assembly that serves both levels of the doublet
+        sc = geo.ScaledCurve(geo.to_wiggle_frame(twin_corners), 1.0)
+        grid = Grid.uniform(60.0, 400)
+        assembled = []
+        real_assemble = spectrum.assemble
+        monkeypatch.setattr(
+            spectrum, "assemble",
+            lambda curve, kappa, grid, **kw:
+                assembled.append(kappa) or real_assemble(curve, kappa, grid, **kw))
+        levels = solve_all(sc, 1.0, grid, maxk=2)
+        assert len(levels) == 2
+        assert len(set(assembled)) == len(assembled) <= 4
 
     def test_error_bar_bounds_true_error(self):
         sc = geo.ScaledCurve(geo.broken_line(1.0), 1.0)
@@ -141,6 +166,18 @@ class TestRootFinding:
         assert 0.0 < loose.kappa_error < 0.5 * tol
         assert abs(loose.kappa - tight.kappa) <= 2.0 * loose.kappa_error
         assert tight.kappa_error < 0.5e-13
+
+    def test_error_bar_bounds_true_error_of_doublet(self, twin_corners):
+        sc = geo.ScaledCurve(twin_corners, 1.0)
+        grid = Grid.uniform(60.0, 400)
+        tol = 1e-6
+        loose = solve_all(sc, 1.0, grid, maxk=2, tol=tol)
+        tight = solve_all(sc, 1.0, grid, maxk=2, tol=1e-13)
+        assert len(loose) == len(tight) == 2
+        for a, b in zip(loose, tight):
+            assert 0.0 < a.kappa_error < 0.5 * tol
+            assert abs(a.kappa - b.kappa) <= 2.0 * a.kappa_error
+            assert b.kappa_error < 0.5e-13
 
     def test_no_sign_change_below_cap(self):
         # g stays positive up to the unevaluated upper end: the bracket
